@@ -16,7 +16,7 @@
 //! dispatch table lives in [`crate::codegen`].
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::beta_z_init;
+use crate::sparse_fused::{beta_z_init, lane_divmod};
 use crate::tuner::DensePlan;
 use fusedml_blas::GpuDense;
 use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
@@ -51,6 +51,7 @@ pub fn try_dense_fused_kernel<const TL: usize>(
     let total_vectors = plan.total_vectors();
     let alpha = spec.alpha;
     let beta = spec.beta;
+    let (full_strips, tail) = (n / vs, n % vs);
 
     // Shared memory: inter-warp reduction scratch (one slot per warp plus
     // the broadcast slot), only needed when the vector spans warps.
@@ -76,18 +77,24 @@ pub fn try_dense_fused_kernel<const TL: usize>(
         let mut ly = vec![[0.0f64; TL]; bs];
         let mut lw = vec![[0.0f64; TL]; bs];
 
-        // Column slot of thread `tid`'s i-th element.
-        let col_of = |tid: usize, i: usize| {
-            let lid = tid % vs;
-            let col = lid + i * vs;
-            (col < n).then_some(col)
+        // Thread `tid` owns columns `tid % vs + i * vs` for `i < TL`; those
+        // inside the row form a prefix of `i`, `n / vs` long plus one for
+        // the first `n % vs` lane ids. `lanes(tid0)` gives each lane of the
+        // warp starting at `tid0` its vector id, its first column and the
+        // length of that prefix, once per warp instead of per element.
+        let lanes = |tid0: usize| -> [(usize, usize, usize); WARP_LANES] {
+            lane_divmod(tid0, vs)
+                .map(|(vid, lid)| (vid, lid, (full_strips + usize::from(lid < tail)).min(TL)))
         };
+        let col_of =
+            |(_, lid, ncols): (usize, usize, usize), i: usize| (i < ncols).then(|| lid + i * vs);
 
         // ---- lines 4-5: load y into registers, once ----
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
+            let lc = lanes(tid0);
             for i in 0..TL {
-                let ys = wc.load_f64_tex(y, |lane| col_of(tid0 + lane, i));
+                let ys = wc.load_f64_tex(y, |lane| col_of(lc[lane], i));
                 for lane in 0..wc.active_lanes() {
                     ly[tid0 + lane][i] = ys[lane];
                 }
@@ -98,13 +105,13 @@ pub fn try_dense_fused_kernel<const TL: usize>(
             // ---- intra-warp vectors: the whole row pipeline per warp ----
             blk.each_warp(|wc| {
                 let tid0 = wc.tid(0);
+                let lc = lanes(tid0);
                 for ci in 0..c {
-                    let row_of = move |lane: usize| {
-                        let vid = (tid0 + lane) / vs;
-                        let row = block_id * nv + vid + ci * total_vectors;
+                    let rows: [Option<usize>; WARP_LANES] = std::array::from_fn(|lane| {
+                        let row = block_id * nv + lc[lane].0 + ci * total_vectors;
                         (row < m).then_some(row)
-                    };
-                    if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                    });
+                    if rows.iter().all(Option::is_none) {
                         break;
                     }
                     // lines 11-13: read the row, dot with l_y.
@@ -113,10 +120,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     let mut active = 0u64;
                     for i in 0..TL {
                         let xs = wc.load_f64(&x.data, |lane| {
-                            row_of(lane).and_then(|r| col_of(tid0 + lane, i).map(|col| r * n + col))
+                            rows[lane].and_then(|r| col_of(lc[lane], i).map(|col| r * n + col))
                         });
                         for lane in 0..WARP_LANES {
-                            if row_of(lane).is_some() {
+                            if rows[lane].is_some() {
                                 lx[lane][i] = xs[lane];
                                 sum[lane] += xs[lane] * ly[tid0 + lane][i];
                                 active += 1;
@@ -129,7 +136,7 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     // line 20's v[row] scaling (done by one thread, broadcast
                     // free through the shuffle result).
                     let p_r = if let Some(v) = v {
-                        let vr = wc.load_f64_tex(v, &row_of);
+                        let vr = wc.load_f64_tex(v, |lane| rows[lane]);
                         let mut p = [0.0f64; WARP_LANES];
                         for lane in 0..WARP_LANES {
                             p[lane] = sum[lane] * vr[lane];
@@ -141,14 +148,13 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                     // lines 23-24: accumulate into l_w registers.
                     let mut acc = 0u64;
                     for lane in 0..WARP_LANES {
-                        if row_of(lane).is_some() {
-                            let tid = tid0 + lane;
-                            for i in 0..TL {
-                                if col_of(tid, i).is_some() {
-                                    lw[tid][i] += lx[lane][i] * p_r[lane];
-                                    acc += 1;
-                                }
+                        if rows[lane].is_some() {
+                            let ncols = lc[lane].2;
+                            let lw = &mut lw[tid0 + lane];
+                            for i in 0..ncols {
+                                lw[i] += lx[lane][i] * p_r[lane];
                             }
+                            acc += ncols as u64;
                         }
                     }
                     wc.flops(2 * acc);
@@ -166,15 +172,15 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                 // Pass A: per-warp partial dot products.
                 blk.each_warp(|wc| {
                     let tid0 = wc.tid(0);
+                    let lc = lanes(tid0);
                     let mut sum = [0.0f64; WARP_LANES];
                     let mut active = 0u64;
                     for i in 0..TL {
-                        let xs = wc.load_f64(&x.data, |lane| {
-                            col_of(tid0 + lane, i).map(|col| row * n + col)
-                        });
+                        let xs = wc
+                            .load_f64(&x.data, |lane| col_of(lc[lane], i).map(|col| row * n + col));
                         for lane in 0..wc.active_lanes() {
-                            let tid = tid0 + lane;
-                            if col_of(tid, i).is_some() {
+                            if i < lc[lane].2 {
+                                let tid = tid0 + lane;
                                 lx_file[tid][i] = xs[lane];
                                 sum[lane] += xs[lane] * ly[tid][i];
                                 active += 1;
@@ -206,16 +212,16 @@ pub fn try_dense_fused_kernel<const TL: usize>(
                             // Pass B: broadcast p_r, accumulate l_w.
                 blk.each_warp(|wc| {
                     let tid0 = wc.tid(0);
+                    let lc = lanes(tid0);
                     let p = wc.shared_load(red, |lane| (lane == 0).then_some(nwarps));
                     let mut acc = 0u64;
                     for lane in 0..wc.active_lanes() {
                         let tid = tid0 + lane;
-                        for i in 0..TL {
-                            if col_of(tid, i).is_some() {
-                                lw[tid][i] += lx_file[tid][i] * p[0];
-                                acc += 1;
-                            }
+                        let ncols = lc[lane].2;
+                        for i in 0..ncols {
+                            lw[tid][i] += lx_file[tid][i] * p[0];
                         }
+                        acc += ncols as u64;
                     }
                     wc.flops(2 * acc);
                 });
@@ -225,10 +231,10 @@ pub fn try_dense_fused_kernel<const TL: usize>(
         // ---- lines 26-27: flush l_w to global w with atomics ----
         blk.each_warp(|wc| {
             let tid0 = wc.tid(0);
+            let lc = lanes(tid0);
             for i in 0..TL {
                 wc.atomic_add_f64(w, |lane| {
-                    let tid = tid0 + lane;
-                    col_of(tid, i).map(|col| (col, alpha * lw[tid][i]))
+                    col_of(lc[lane], i).map(|col| (col, alpha * lw[tid0 + lane][i]))
                 });
             }
         });

@@ -66,26 +66,118 @@ pub(crate) fn flush_shared(blk: &mut BlockCtx, sd: Shared, w: &GpuBuffer, alpha:
     });
 }
 
-/// Row processed by `lane` during coarsening step `ci`, per the paper's
-/// schedule `row = block_ID x NV + vid`, advancing by `gridSize / VS`.
+/// `(tid / vs, tid % vs)` for the warp's 32 consecutive thread ids from
+/// `tid0`: one division for the warp, then a carry per lane. Kernels call
+/// this once per warp so their lane loops do no integer division.
 #[inline]
-pub(crate) fn row_for_lane(
-    block_id: usize,
-    nv: usize,
-    total_vectors: usize,
-    vs: usize,
-    tid: usize,
-    ci: usize,
+pub(crate) fn lane_divmod(tid0: usize, vs: usize) -> [(usize, usize); WARP_LANES] {
+    let (mut q, mut r) = (tid0 / vs, tid0 % vs);
+    std::array::from_fn(|_| {
+        let qr = (q, r);
+        r += 1;
+        if r == vs {
+            r = 0;
+            q += 1;
+        }
+        qr
+    })
+}
+
+/// The rows a warp's lanes process, per the paper's schedule
+/// `row = block_ID x NV + vid`, advancing by `gridSize / VS` each
+/// coarsening step. The per-lane vector ids are computed once per warp.
+pub(crate) struct WarpRows {
+    first: [usize; WARP_LANES],
+    stride: usize,
     m: usize,
-) -> Option<usize> {
-    let vid = tid / vs;
-    let row = block_id * nv + vid + ci * total_vectors;
-    (row < m).then_some(row)
+    /// Threads per vector.
+    pub(crate) vs: usize,
+    /// `lane % vs`: each lane's position within its vector.
+    lane_in_vector: [usize; WARP_LANES],
+}
+
+impl WarpRows {
+    pub(crate) fn new(
+        block_id: usize,
+        nv: usize,
+        total_vectors: usize,
+        vs: usize,
+        tid0: usize,
+        m: usize,
+    ) -> Self {
+        let vids = lane_divmod(tid0, vs);
+        let lanes = lane_divmod(0, vs);
+        WarpRows {
+            first: std::array::from_fn(|lane| block_id * nv + vids[lane].0),
+            stride: total_vectors,
+            m,
+            vs,
+            lane_in_vector: std::array::from_fn(|lane| lanes[lane].1),
+        }
+    }
+
+    /// Each lane's row at coarsening step `ci` (`None` past the last
+    /// row), or `None` when no lane has a row left.
+    #[inline]
+    pub(crate) fn step(&self, ci: usize) -> Option<[Option<usize>; WARP_LANES]> {
+        let rows = std::array::from_fn(|lane| {
+            let row = self.first[lane] + ci * self.stride;
+            (row < self.m).then_some(row)
+        });
+        rows.iter().any(Option::is_some).then_some(rows)
+    }
+
+    /// Issue the two `row_off` loads (row starts, then row ends) for the
+    /// lanes' `rows` and set up their strip-mined scan.
+    pub(crate) fn scan(
+        &self,
+        wc: &mut WarpCtx,
+        x: &GpuCsr,
+        rows: &[Option<usize>; WARP_LANES],
+    ) -> RowScan {
+        let start = wc.load_u32(&x.row_off, |l| rows[l]);
+        let end = wc.load_u32(&x.row_off, |l| rows[l].map(|r| r + 1));
+        RowScan {
+            first: std::array::from_fn(|l| start[l] as usize + self.lane_in_vector[l]),
+            end: std::array::from_fn(|l| rows[l].map_or(0, |_| end[l] as usize)),
+            vs: self.vs,
+        }
+    }
+}
+
+/// A warp's strip-mined scan over its lanes' CSR rows: in strip `k`, lane
+/// `l` reads element `row_off[row] + l % VS + k * VS` while that is before
+/// the row's end.
+pub(crate) struct RowScan {
+    first: [usize; WARP_LANES],
+    /// Row end per lane; 0 for lanes without a row.
+    end: [usize; WARP_LANES],
+    vs: usize,
+}
+
+impl RowScan {
+    /// Per-strip element indices (`None` = lane done) and active-lane
+    /// count, until a strip has no active lane.
+    pub(crate) fn strips(&self) -> impl Iterator<Item = ([Option<usize>; WARP_LANES], u64)> + '_ {
+        (0..).map_while(move |k: usize| {
+            let mut active = 0u64;
+            let idx = std::array::from_fn(|l| {
+                let i = self.first[l] + k * self.vs;
+                let on = i < self.end[l];
+                active += u64::from(on);
+                on.then_some(i)
+            });
+            (active > 0).then_some((idx, active))
+        })
+    }
 }
 
 /// One coarsening step of the fused computation for one warp: dot product
 /// with `y`, intra-vector shuffle reduction, optional `v[row]` scaling, and
 /// the scatter of `X[r,:]^T * p[r]` into the aggregation target.
+///
+/// With `persist_p`, the first lane of each vector also stores its row's
+/// `p[r]` there before the scatter (the sharded kernel's epilogue input).
 ///
 /// `scatter` receives `(warp, col_of_lane, contribution_of_lane)` triples
 /// once per strip so both the shared-memory and global-memory variants can
@@ -96,31 +188,19 @@ pub(crate) fn fused_row_step<S>(
     x: &GpuCsr,
     y: &GpuBuffer,
     v: Option<&GpuBuffer>,
-    vs: usize,
-    row_of: &dyn Fn(usize) -> Option<usize>,
+    persist_p: Option<&GpuBuffer>,
+    schedule: &WarpRows,
+    rows: &[Option<usize>; WARP_LANES],
     mut scatter: S,
 ) where
     S: FnMut(&mut WarpCtx, &[Option<usize>; WARP_LANES], &[u32; WARP_LANES], &[f64; WARP_LANES]),
 {
-    let start = wc.load_u32(&x.row_off, row_of);
-    let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
+    let vs = schedule.vs;
+    let scan = schedule.scan(wc, x, rows);
 
     // ---- pass 1: p[r] = X[r,:] . y, reduced in registers ----
     let mut sum = [0.0f64; WARP_LANES];
-    let mut iter = 0usize;
-    let mut idx = [None; WARP_LANES];
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
-        if active == 0 {
-            break;
-        }
+    for (idx, active) in scan.strips() {
         let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
         let vals = wc.load_f64(&x.values, |l| idx[l]);
         let ys = wc.load_f64_tex(y, |l| idx[l].map(|_| cols[l] as usize));
@@ -130,13 +210,12 @@ pub(crate) fn fused_row_step<S>(
             }
         }
         wc.flops(2 * active);
-        iter += 1;
     }
     wc.shuffle_reduce_sum(&mut sum, vs);
 
     // ---- v[row] scaling (Algorithm 2 line 12) ----
     let p_r = if let Some(v) = v {
-        let vr = wc.load_f64_tex(v, row_of);
+        let vr = wc.load_f64_tex(v, |l| rows[l]);
         let mut p = [0.0f64; WARP_LANES];
         for lane in 0..WARP_LANES {
             p[lane] = sum[lane] * vr[lane];
@@ -147,20 +226,16 @@ pub(crate) fn fused_row_step<S>(
         sum
     };
 
+    if let Some(u) = persist_p {
+        wc.store_f64(u, |lane| {
+            rows[lane]
+                .filter(|_| schedule.lane_in_vector[lane] == 0)
+                .map(|r| (r, p_r[lane]))
+        });
+    }
+
     // ---- pass 2: scatter X[r,:]^T * p[r]; row now cache-resident ----
-    let mut iter = 0usize;
-    loop {
-        let mut active = 0u64;
-        for lane in 0..WARP_LANES {
-            idx[lane] = row_of(lane).and_then(|_| {
-                let i = start[lane] as usize + (lane % vs) + iter * vs;
-                (i < end[lane] as usize).then_some(i)
-            });
-            active += idx[lane].is_some() as u64;
-        }
-        if active == 0 {
-            break;
-        }
+    for (idx, active) in scan.strips() {
         let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
         let vals = wc.load_f64(&x.values, |l| idx[l]);
         let mut contrib = [0.0f64; WARP_LANES];
@@ -171,7 +246,6 @@ pub(crate) fn fused_row_step<S>(
         }
         wc.flops(2 * active);
         scatter(wc, &idx, &cols, &contrib);
-        iter += 1;
     }
 }
 
@@ -216,19 +290,25 @@ pub fn try_fused_pattern_shared(
 
         let block_id = blk.block_id();
         blk.each_warp(|wc| {
-            let tid0 = wc.tid(0);
+            let schedule = WarpRows::new(block_id, nv, total_vectors, vs, wc.tid(0), m);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let Some(rows) = schedule.step(ci) else {
                     break;
-                }
-                fused_row_step(wc, x, y, v, vs, &row_of, |wc, idx, cols, contrib| {
-                    wc.shared_atomic_add(sd, |lane| {
-                        idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
-                    });
-                });
+                };
+                fused_row_step(
+                    wc,
+                    x,
+                    y,
+                    v,
+                    None,
+                    &schedule,
+                    &rows,
+                    |wc, idx, cols, contrib| {
+                        wc.shared_atomic_add(sd, |lane| {
+                            idx[lane].map(|_| (cols[lane] as usize, contrib[lane]))
+                        });
+                    },
+                );
             }
         });
 
@@ -281,39 +361,20 @@ pub fn try_fused_xt_p_shared(
 
         let block_id = blk.block_id();
         blk.each_warp(|wc| {
-            let tid0 = wc.tid(0);
+            let schedule = WarpRows::new(block_id, nv, total_vectors, vs, wc.tid(0), m);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let Some(rows) = schedule.step(ci) else {
                     break;
-                }
-                let start = wc.load_u32(&x.row_off, &row_of);
-                let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
-                let pr = wc.load_f64_tex(p, &row_of);
-
-                let mut iter = 0usize;
-                let mut idx = [None; WARP_LANES];
-                loop {
-                    let mut active = 0u64;
-                    for lane in 0..WARP_LANES {
-                        idx[lane] = row_of(lane).and_then(|_| {
-                            let i = start[lane] as usize + (lane % vs) + iter * vs;
-                            (i < end[lane] as usize).then_some(i)
-                        });
-                        active += idx[lane].is_some() as u64;
-                    }
-                    if active == 0 {
-                        break;
-                    }
+                };
+                let scan = schedule.scan(wc, x, &rows);
+                let pr = wc.load_f64_tex(p, |l| rows[l]);
+                for (idx, active) in scan.strips() {
                     let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
                     let vals = wc.load_f64(&x.values, |l| idx[l]);
                     wc.flops(2 * active);
                     wc.shared_atomic_add(sd, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, vals[lane] * pr[lane]))
                     });
-                    iter += 1;
                 }
             }
         });

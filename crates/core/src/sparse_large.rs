@@ -7,10 +7,10 @@
 //! ultra-sparse data rarely collides on a column.
 
 use crate::pattern::PatternSpec;
-use crate::sparse_fused::{beta_z_init, fused_row_step, row_for_lane};
+use crate::sparse_fused::{beta_z_init, fused_row_step, WarpRows};
 use crate::tuner::SparsePlan;
 use fusedml_blas::GpuCsr;
-use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats, WARP_LANES};
+use fusedml_gpu_sim::{DeviceError, Gpu, GpuBuffer, LaunchConfig, LaunchStats};
 
 /// Algorithm 2 with global-memory aggregation. Requires
 /// `!plan.use_shared_w`. `w` must be zeroed by the caller.
@@ -49,21 +49,27 @@ pub fn try_fused_pattern_global(
         }
         let block_id = blk.block_id();
         blk.each_warp(|wc| {
-            let tid0 = wc.tid(0);
+            let schedule = WarpRows::new(block_id, nv, total_vectors, vs, wc.tid(0), m);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let Some(rows) = schedule.step(ci) else {
                     break;
-                }
-                fused_row_step(wc, x, y, v, vs, &row_of, |wc, idx, cols, contrib| {
-                    // Inter-vector aggregation straight to global memory.
-                    wc.atomic_add_f64(w, |lane| {
-                        idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
-                    });
-                    wc.flops(idx.iter().flatten().count() as u64);
-                });
+                };
+                fused_row_step(
+                    wc,
+                    x,
+                    y,
+                    v,
+                    None,
+                    &schedule,
+                    &rows,
+                    |wc, idx, cols, contrib| {
+                        // Inter-vector aggregation straight to global memory.
+                        wc.atomic_add_f64(w, |lane| {
+                            idx[lane].map(|_| (cols[lane] as usize, alpha * contrib[lane]))
+                        });
+                        wc.flops(idx.iter().flatten().count() as u64);
+                    },
+                );
             }
         });
     })
@@ -109,39 +115,20 @@ pub fn try_fused_xt_p_global(
     gpu.try_launch("fused_xt_p_global", cfg, |blk| {
         let block_id = blk.block_id();
         blk.each_warp(|wc| {
-            let tid0 = wc.tid(0);
+            let schedule = WarpRows::new(block_id, nv, total_vectors, vs, wc.tid(0), m);
             for ci in 0..c {
-                let row_of = move |lane: usize| {
-                    row_for_lane(block_id, nv, total_vectors, vs, tid0 + lane, ci, m)
-                };
-                if (0..WARP_LANES).all(|l| row_of(l).is_none()) {
+                let Some(rows) = schedule.step(ci) else {
                     break;
-                }
-                let start = wc.load_u32(&x.row_off, &row_of);
-                let end = wc.load_u32(&x.row_off, |l| row_of(l).map(|r| r + 1));
-                let pr = wc.load_f64_tex(p, &row_of);
-
-                let mut iter = 0usize;
-                let mut idx = [None; WARP_LANES];
-                loop {
-                    let mut active = 0u64;
-                    for lane in 0..WARP_LANES {
-                        idx[lane] = row_of(lane).and_then(|_| {
-                            let i = start[lane] as usize + (lane % vs) + iter * vs;
-                            (i < end[lane] as usize).then_some(i)
-                        });
-                        active += idx[lane].is_some() as u64;
-                    }
-                    if active == 0 {
-                        break;
-                    }
+                };
+                let scan = schedule.scan(wc, x, &rows);
+                let pr = wc.load_f64_tex(p, |l| rows[l]);
+                for (idx, active) in scan.strips() {
                     let cols = wc.load_u32(&x.col_idx, |l| idx[l]);
                     let vals = wc.load_f64(&x.values, |l| idx[l]);
                     wc.flops(3 * active);
                     wc.atomic_add_f64(w, |lane| {
                         idx[lane].map(|_| (cols[lane] as usize, alpha * vals[lane] * pr[lane]))
                     });
-                    iter += 1;
                 }
             }
         });

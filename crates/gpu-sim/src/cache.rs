@@ -7,7 +7,10 @@
 //! threads, halving DRAM traffic exactly as the paper argues.
 
 /// A set-associative cache with LRU replacement, tracked at line
-/// granularity. Timestamps implement LRU without list manipulation.
+/// granularity. Each set's ways are kept in recency order, most recent
+/// first: a hit rotates its way to the front, a miss shifts the set back
+/// by one and installs at the front, so the last way is always the LRU
+/// victim. Empty ways (`u64::MAX`) sit at the back and fill first.
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     /// log2(line size in bytes).
@@ -15,11 +18,9 @@ pub struct CacheModel {
     /// Number of sets (power of two).
     num_sets: usize,
     ways: usize,
-    /// `num_sets * ways` line tags; `u64::MAX` marks an empty way.
+    /// `num_sets * ways` line tags, each set in recency order;
+    /// `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// Last-use timestamp per way.
-    stamps: Vec<u64>,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -42,8 +43,6 @@ impl CacheModel {
             num_sets,
             ways,
             tags: vec![u64::MAX; num_sets * ways],
-            stamps: vec![0; num_sets * ways],
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -60,19 +59,15 @@ impl CacheModel {
         let line = byte_addr >> self.line_shift;
         let set = (line as usize) & (self.num_sets - 1);
         let base = set * self.ways;
-        self.clock += 1;
         let ways = &mut self.tags[base..base + self.ways];
         if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
+            ways[..=w].rotate_right(1);
             self.hits += 1;
             return true;
         }
-        // Miss: replace LRU way.
-        let lru = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or_else(|| unreachable!("cache has >= 1 way"));
-        self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
+        // Miss: the last way is the LRU one (or empty).
+        ways.rotate_right(1);
+        ways[0] = line;
         self.misses += 1;
         false
     }
@@ -82,7 +77,6 @@ impl CacheModel {
     /// real hardware).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 
     pub fn hits(&self) -> u64 {
@@ -100,8 +94,96 @@ impl CacheModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fault::mix64;
+
+    /// Reference: the timestamp LRU the simulator used before sets were
+    /// kept in recency order. Every probe bumps a clock; a hit restamps its
+    /// way, a miss replaces the way with the oldest stamp (empty ways carry
+    /// stamp 0 and fill first).
+    pub(crate) struct StampLru {
+        line_shift: u32,
+        num_sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        pub(crate) fn new(capacity_bytes: usize, line_bytes: usize, ways: usize) -> Self {
+            let ways = ways.max(1);
+            let lines = (capacity_bytes / line_bytes).max(ways);
+            let num_sets = 1usize << (lines / ways).max(1).ilog2();
+            StampLru {
+                line_shift: line_bytes.trailing_zeros(),
+                num_sets,
+                ways,
+                tags: vec![u64::MAX; num_sets * ways],
+                stamps: vec![0; num_sets * ways],
+                clock: 0,
+            }
+        }
+
+        pub(crate) fn access(&mut self, byte_addr: u64) -> bool {
+            let line = byte_addr >> self.line_shift;
+            let set = (line as usize) & (self.num_sets - 1);
+            let base = set * self.ways;
+            self.clock += 1;
+            let ways = &mut self.tags[base..base + self.ways];
+            if let Some(w) = ways.iter().position(|&t| t == line) {
+                self.stamps[base + w] = self.clock;
+                return true;
+            }
+            let lru = (0..self.ways)
+                .min_by_key(|&w| self.stamps[base + w])
+                .unwrap_or_else(|| unreachable!("cache has >= 1 way"));
+            self.tags[base + lru] = line;
+            self.stamps[base + lru] = self.clock;
+            false
+        }
+
+        pub(crate) fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+        }
+    }
+
+    #[test]
+    fn recency_order_matches_timestamp_lru_hit_for_hit() {
+        // Direct-mapped, small, texture-like and L2-like geometries.
+        for (capacity, ways) in [
+            (1024, 1),
+            (2048, 2),
+            (4096, 4),
+            (48 * 1024, 4),
+            (64 * 1024, 16),
+        ] {
+            for seed in [11u64, 12, 13] {
+                let mut new = CacheModel::new(capacity, 128, ways);
+                let mut old = StampLru::new(capacity, 128, ways);
+                let lines = (capacity / 128) as u64;
+                for i in 0..20_000u64 {
+                    let h = mix64(seed ^ mix64(i));
+                    // Working sets below, near and above capacity, with
+                    // runs of re-touches so hits land on every way.
+                    let span = [lines / 2, lines, 2 * lines, 8 * lines][(h % 4) as usize].max(1);
+                    let addr = ((h >> 8) % span) * 128 + (h >> 40) % 128;
+                    if h % 5_000 == 0 {
+                        new.flush();
+                        old.flush();
+                    }
+                    assert_eq!(
+                        new.access(addr),
+                        old.access(addr),
+                        "probe {i} of seed {seed}"
+                    );
+                }
+                assert!(new.hits() > 0 && new.misses() > 0);
+            }
+        }
+    }
 
     #[test]
     fn repeated_access_hits() {

@@ -14,6 +14,7 @@
 //! host parallelism because device buffers are atomic cells.
 
 use crate::cache::CacheModel;
+use crate::coalesce::{load_footprint, LaneSet};
 use crate::counters::Counters;
 use crate::device::DeviceSpec;
 use crate::error::DeviceError;
@@ -21,7 +22,7 @@ use crate::fault::{FaultInjector, FaultProfile};
 use crate::memory::{Elem, GpuBuffer};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::pool::{BufferPool, DevicePool, PoolStats};
-use crate::shared::bank_conflict_replays;
+use crate::shared::{bank_conflict_replays, same_word_repeats};
 use crate::timing::{kernel_time, TimeBreakdown};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -164,8 +165,29 @@ impl Gpu {
 
     /// Create a GPU whose blocks are simulated by exactly `host_threads`
     /// worker threads (1 = fully sequential, maximally reproducible).
+    ///
+    /// # Panics
+    /// Panics if `sector_bytes` or `cache_line_bytes` is not a power of
+    /// two, or if a sector is larger than a line: per-instruction
+    /// accounting turns addresses into sectors and lines with shifts.
     pub fn with_host_threads(spec: impl Into<Arc<DeviceSpec>>, host_threads: usize) -> Self {
         let spec = spec.into();
+        assert!(
+            spec.sector_bytes.is_power_of_two(),
+            "sector_bytes must be a power of two, got {}",
+            spec.sector_bytes
+        );
+        assert!(
+            spec.cache_line_bytes.is_power_of_two(),
+            "cache_line_bytes must be a power of two, got {}",
+            spec.cache_line_bytes
+        );
+        assert!(
+            spec.sector_bytes <= spec.cache_line_bytes,
+            "sector_bytes ({}) must not exceed cache_line_bytes ({})",
+            spec.sector_bytes,
+            spec.cache_line_bytes
+        );
         // Each SM gets a full-capacity private view of the L2: the real
         // L2 is a shared, address-interleaved cache, so capacity available
         // to shared hot structures (the y/v/w vectors) is the full 1.5MB,
@@ -697,7 +719,6 @@ impl Gpu {
 
         // Partition SMs among workers; each worker simulates its SMs' blocks
         // in grid order, so per-SM state is deterministic.
-        let mut results: Vec<(Counters, Vec<SmState>)> = Vec::with_capacity(workers);
         let sm_chunks: Vec<(usize, Vec<SmState>)> = {
             let mut chunks: Vec<(usize, Vec<SmState>)> =
                 (0..workers).map(|w| (w, Vec::new())).collect();
@@ -774,7 +795,6 @@ impl Gpu {
                     .unwrap_or_else(|| unreachable!("worker {} returned too few SMs", i % workers)),
             );
         }
-        results.clear();
 
         let resident_blocks = (occ.blocks_per_sm * num_sms).max(1);
         let device_fill = (config.grid_blocks as f64 / resident_blocks as f64).min(1.0);
@@ -995,46 +1015,23 @@ impl<'a> WarpCtx<'a> {
     /// returning unique sectors and driving the cache model.
     fn account_load(&mut self, addrs: &[Option<u64>; WARP_LANES], tex: bool) {
         self.counters.gld_instructions += 1;
-        let active = addrs.iter().flatten().count();
-        if active < WARP_LANES {
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let line_shift = self.spec.cache_line_bytes.trailing_zeros();
+        let fp = load_footprint(addrs, sector_shift, line_shift);
+        if fp.active < WARP_LANES {
             self.counters.divergent_instructions += 1;
-            self.counters.inactive_lanes += (WARP_LANES - active) as u64;
-        }
-        let line_bytes = self.spec.cache_line_bytes as u64;
-        let sector_bytes = self.spec.sector_bytes as u64;
-
-        let mut sectors = [u64::MAX; WARP_LANES];
-        let mut ns = 0;
-        for addr in addrs.iter().flatten() {
-            let s = addr / sector_bytes;
-            if !sectors[..ns].contains(&s) {
-                sectors[ns] = s;
-                ns += 1;
-            }
+            self.counters.inactive_lanes += (WARP_LANES - fp.active) as u64;
         }
         if tex {
-            self.counters.tex_transactions += ns as u64;
+            self.counters.tex_transactions += fp.sectors as u64;
         } else {
-            self.counters.gld_transactions += ns as u64;
+            self.counters.gld_transactions += fp.sectors as u64;
         }
 
-        // Unique lines for cache probing.
-        let mut lines = [u64::MAX; WARP_LANES];
-        let mut nl = 0;
-        for &s in &sectors[..ns] {
-            let l = s * sector_bytes / line_bytes;
-            if !lines[..nl].contains(&l) {
-                lines[nl] = l;
-                nl += 1;
-            }
-        }
-        for &l in &lines[..nl] {
-            let byte_addr = l * line_bytes;
-            let sectors_in_line = sectors[..ns]
-                .iter()
-                .filter(|&&s| s * sector_bytes / line_bytes == l)
-                .count() as u64;
-            let touched = sectors_in_line * sector_bytes;
+        // Probe each distinct line once, in first-touch order.
+        for (&l, &sectors_in_line) in fp.lines.as_slice().iter().zip(&fp.sectors_in_line) {
+            let byte_addr = l << line_shift;
+            let touched = u64::from(sectors_in_line) << sector_shift;
             if tex && self.sm.tex.access(byte_addr) {
                 self.counters.tex_read_bytes += touched;
             } else if self.sm.l2.access(byte_addr) {
@@ -1044,7 +1041,7 @@ impl<'a> WarpCtx<'a> {
                 }
                 self.counters.l2_read_bytes += touched;
             } else {
-                self.counters.dram_read_bytes += line_bytes;
+                self.counters.dram_read_bytes += 1u64 << line_shift;
             }
         }
     }
@@ -1109,24 +1106,19 @@ impl<'a> WarpCtx<'a> {
     {
         debug_assert_eq!(buf.elem(), Elem::F64);
         self.counters.gst_instructions += 1;
-        let sector_bytes = self.spec.sector_bytes as u64;
-        let mut sectors = [u64::MAX; WARP_LANES];
-        let mut ns = 0;
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let mut sectors = LaneSet::new();
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v.to_bits());
-                let s = buf.addr_of(i) / sector_bytes;
-                if !sectors[..ns].contains(&s) {
-                    sectors[ns] = s;
-                    ns += 1;
-                }
+                sectors.insert(buf.addr_of(i) >> sector_shift);
             }
         }
-        self.counters.gst_transactions += ns as u64;
-        self.counters.dram_write_bytes += ns as u64 * sector_bytes;
+        self.counters.gst_transactions += sectors.len() as u64;
+        self.counters.dram_write_bytes += (sectors.len() as u64) << sector_shift;
         // Write-allocate into L2.
-        for &s in &sectors[..ns] {
-            self.sm.l2.access(s * sector_bytes);
+        for &s in sectors.as_slice() {
+            self.sm.l2.access(s << sector_shift);
         }
     }
 
@@ -1138,23 +1130,18 @@ impl<'a> WarpCtx<'a> {
     {
         debug_assert_eq!(buf.elem(), Elem::U32);
         self.counters.gst_instructions += 1;
-        let sector_bytes = self.spec.sector_bytes as u64;
-        let mut sectors = [u64::MAX; WARP_LANES];
-        let mut ns = 0;
+        let sector_shift = self.spec.sector_bytes.trailing_zeros();
+        let mut sectors = LaneSet::new();
         for lane in 0..self.active_lanes {
             if let Some((i, v)) = src(lane) {
                 buf.raw_store(i, v as u64);
-                let s = buf.addr_of(i) / sector_bytes;
-                if !sectors[..ns].contains(&s) {
-                    sectors[ns] = s;
-                    ns += 1;
-                }
+                sectors.insert(buf.addr_of(i) >> sector_shift);
             }
         }
-        self.counters.gst_transactions += ns as u64;
-        self.counters.dram_write_bytes += ns as u64 * sector_bytes;
-        for &s in &sectors[..ns] {
-            self.sm.l2.access(s * sector_bytes);
+        self.counters.gst_transactions += sectors.len() as u64;
+        self.counters.dram_write_bytes += (sectors.len() as u64) << sector_shift;
+        for &s in sectors.as_slice() {
+            self.sm.l2.access(s << sector_shift);
         }
     }
 
@@ -1167,33 +1154,12 @@ impl<'a> WarpCtx<'a> {
     {
         debug_assert_eq!(buf.elem(), Elem::U32);
         let mut old = [0u32; WARP_LANES];
-        let mut addrs = [u64::MAX; WARP_LANES];
-        let mut n = 0;
-        for lane in 0..self.active_lanes {
-            if let Some((i, v)) = src(lane) {
+        self.atomic_lanes(buf, true, |lane| {
+            src(lane).map(|(i, v)| {
                 old[lane] = buf.raw_atomic_add_u32(i, v);
-                let a = buf.addr_of(i);
-                self.sm.atomic_phase += 1;
-                self.counters
-                    .record_global_atomic_int(a, self.sm.atomic_phase);
-                addrs[n] = a;
-                n += 1;
-            }
-        }
-        let mut unique = 0;
-        for i in 0..n {
-            if !addrs[..i].contains(&addrs[i]) {
-                unique += 1;
-            }
-        }
-        self.counters.global_atomic_warp_conflicts += (n - unique) as u64;
-        let line = self.spec.cache_line_bytes as u64;
-        for i in 0..n {
-            if !self.sm.l2.access((addrs[i] / line) * line) {
-                self.counters.dram_read_bytes += self.spec.sector_bytes as u64;
-            }
-        }
-        self.counters.dram_write_bytes += unique as u64 * self.spec.sector_bytes as u64;
+                i
+            })
+        });
         old
     }
 
@@ -1205,35 +1171,50 @@ impl<'a> WarpCtx<'a> {
         F: FnMut(usize) -> Option<(usize, f64)>,
     {
         debug_assert_eq!(buf.elem(), Elem::F64);
-        let mut addrs = [u64::MAX; WARP_LANES];
-        let mut n = 0;
-        for lane in 0..self.active_lanes {
-            if let Some((i, v)) = src(lane) {
+        self.atomic_lanes(buf, false, |lane| {
+            src(lane).map(|(i, v)| {
                 buf.raw_atomic_add_f64(i, v);
+                i
+            })
+        });
+    }
+
+    /// Accounting shared by the global atomics. `apply(lane)` performs the
+    /// lane's atomic and yields its element index (`None` = lane off).
+    fn atomic_lanes(
+        &mut self,
+        buf: &GpuBuffer,
+        int: bool,
+        mut apply: impl FnMut(usize) -> Option<usize>,
+    ) {
+        let line_mask = !(self.spec.cache_line_bytes as u64 - 1);
+        let sector_bytes = self.spec.sector_bytes as u64;
+        let mut addrs = LaneSet::new();
+        let mut n = 0u64;
+        for lane in 0..self.active_lanes {
+            if let Some(i) = apply(lane) {
                 let a = buf.addr_of(i);
                 self.sm.atomic_phase += 1;
-                self.counters.record_global_atomic(a, self.sm.atomic_phase);
-                addrs[n] = a;
+                if int {
+                    self.counters
+                        .record_global_atomic_int(a, self.sm.atomic_phase);
+                } else {
+                    self.counters.record_global_atomic(a, self.sm.atomic_phase);
+                }
+                // Atomics resolve in L2 at sector granularity: a missing
+                // target costs one sector fetch (read-modify-write), not a
+                // full line.
+                if !self.sm.l2.access(a & line_mask) {
+                    self.counters.dram_read_bytes += sector_bytes;
+                }
+                addrs.insert(a);
                 n += 1;
             }
         }
         // Same-address lanes within the warp replay.
-        let mut unique = 0;
-        for i in 0..n {
-            if !addrs[..i].contains(&addrs[i]) {
-                unique += 1;
-            }
-        }
-        self.counters.global_atomic_warp_conflicts += (n - unique) as u64;
-        // Atomics resolve in L2 at sector granularity: a missing target
-        // costs one sector fetch (read-modify-write), not a full line.
-        let line = self.spec.cache_line_bytes as u64;
-        for i in 0..n {
-            if !self.sm.l2.access((addrs[i] / line) * line) {
-                self.counters.dram_read_bytes += self.spec.sector_bytes as u64;
-            }
-        }
-        self.counters.dram_write_bytes += unique as u64 * self.spec.sector_bytes as u64;
+        let unique = addrs.len() as u64;
+        self.counters.global_atomic_warp_conflicts += n - unique;
+        self.counters.dram_write_bytes += unique * sector_bytes;
     }
 
     // ---------------- shared memory ----------------
@@ -1292,18 +1273,8 @@ impl<'a> WarpCtx<'a> {
             }
         }
         // Same-word atomic lanes serialize like bank conflicts.
-        self.counters.shared_bank_conflicts += {
-            let mut extra = 0u64;
-            let mut seen: Vec<usize> = Vec::new();
-            for w in words.iter().flatten() {
-                if seen.contains(w) {
-                    extra += 1;
-                } else {
-                    seen.push(*w);
-                }
-            }
-            extra + bank_conflict_replays(&words, self.spec.shared_banks)
-        };
+        self.counters.shared_bank_conflicts +=
+            same_word_repeats(&words) + bank_conflict_replays(&words, self.spec.shared_banks);
     }
 
     // ---------------- register-level reductions ----------------
@@ -1335,6 +1306,50 @@ mod tests {
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1)
+    }
+
+    #[test]
+    fn every_shipped_spec_satisfies_the_accounting_shift_math() {
+        for spec in [
+            DeviceSpec::gtx_titan(),
+            DeviceSpec::tesla_k20(),
+            DeviceSpec::tiny_test_device(),
+        ] {
+            assert!(spec.sector_bytes.is_power_of_two(), "{}", spec.name);
+            assert!(spec.cache_line_bytes.is_power_of_two(), "{}", spec.name);
+            assert!(spec.sector_bytes <= spec.cache_line_bytes, "{}", spec.name);
+            Gpu::with_host_threads(spec, 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sector_bytes must be a power of two, got 48")]
+    fn non_power_of_two_sector_is_rejected() {
+        let spec = DeviceSpec {
+            sector_bytes: 48,
+            ..DeviceSpec::tiny_test_device()
+        };
+        Gpu::with_host_threads(spec, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache_line_bytes must be a power of two, got 96")]
+    fn non_power_of_two_line_is_rejected() {
+        let spec = DeviceSpec {
+            cache_line_bytes: 96,
+            ..DeviceSpec::tiny_test_device()
+        };
+        Gpu::with_host_threads(spec, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sector_bytes (256) must not exceed cache_line_bytes (128)")]
+    fn sector_larger_than_line_is_rejected() {
+        let spec = DeviceSpec {
+            sector_bytes: 256,
+            ..DeviceSpec::tiny_test_device()
+        };
+        Gpu::with_host_threads(spec, 1);
     }
 
     #[test]

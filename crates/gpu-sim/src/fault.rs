@@ -202,7 +202,7 @@ const STRAGGLER_SALT: u64 = 0x7374726167676c72; // "stragglr"
 const DEVICE_SALT: u64 = 0x6465766963655f6e; // "device_n" (per-device seeds)
 
 /// SplitMix64 finalizer: a high-quality bijective mix of the input.
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

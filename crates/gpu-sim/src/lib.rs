@@ -47,6 +47,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
+mod coalesce;
 pub mod copyengine;
 pub mod cost;
 pub mod counters;
