@@ -21,7 +21,7 @@ use fusedml_blas::exec::{
     available_executors, fused_xtxp_csr, scalar_executor, scalar_forced, MtFused, MtWorkspace,
 };
 use fusedml_blas::CpuEngine;
-use fusedml_matrix::gen::{dense_random, random_vector, uniform_sparse};
+use fusedml_matrix::gen::{dense_random, powerlaw_sparse, random_vector, uniform_sparse};
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
 use std::time::Instant;
 
@@ -100,8 +100,9 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Measured fused-vs-unfused `q = X^T (X p)` on one sparse matrix.
-fn sparse_workload(x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<Json, String> {
+/// Measured fused-vs-unfused `q = X^T (X p)` on one sparse matrix;
+/// `kind` names its row-length distribution in the report id.
+fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<Json, String> {
     let (m, n) = (x.rows(), x.cols());
     let p = random_vector(n, opts.seed + 1);
     let execs = available_executors();
@@ -203,7 +204,7 @@ fn sparse_workload(x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<Json, String
     }
 
     Ok(Json::obj(vec![
-        ("id", Json::str(format!("xtxp/csr/{m}x{n}"))),
+        ("id", Json::str(format!("xtxp/{kind}/{m}x{n}"))),
         ("rows", Json::u64(m as u64)),
         ("cols", Json::u64(n as u64)),
         ("nnz", Json::u64(x.nnz() as u64)),
@@ -331,10 +332,15 @@ pub fn run_cpu_bench(opts: &CpuBenchOptions) -> Result<Json, String> {
     let scale = |rows: usize| ((rows as f64 * opts.scale).round() as usize).max(64);
 
     let x_sparse = uniform_sparse(scale(sp_rows), sp_cols, density, opts.seed);
+    // Short, skewed rows (about 4 non-zeros per row on average, many
+    // rows of 1-3): here the per-row cost, not bandwidth, bounds the
+    // fused pass.
+    let x_powerlaw = powerlaw_sparse(scale(2 * sp_rows), 4 * sp_cols, 16.0, 0.8, opts.seed + 3);
     let x_dense = dense_random(scale(d_rows), d_cols, opts.seed + 7);
 
     let workloads = vec![
-        sparse_workload(&x_sparse, opts)?,
+        sparse_workload("csr", &x_sparse, opts)?,
+        sparse_workload("csr-powerlaw", &x_powerlaw, opts)?,
         dense_workload(&x_dense, opts)?,
     ];
 
@@ -397,7 +403,7 @@ mod tests {
         assert_eq!(back, report, "report must round-trip bit-exactly");
 
         let wls = report.field("workloads").unwrap().as_arr().unwrap();
-        assert_eq!(wls.len(), 2);
+        assert_eq!(wls.len(), 3);
         for wl in wls {
             let unfused = wl.field("unfused").unwrap();
             assert!(unfused.field_f64("measured_ms").unwrap() >= 0.0);

@@ -171,8 +171,8 @@ fn cpu_bench_writes_schema_versioned_report() {
     assert_eq!(report.field_str("kind").unwrap(), "cpu-bench");
     assert_eq!(
         report.field("workloads").unwrap().as_arr().unwrap().len(),
-        2,
-        "one sparse and one dense workload"
+        3,
+        "uniform and power-law sparse workloads, and one dense workload"
     );
 
     std::fs::remove_file(&out_path).ok();

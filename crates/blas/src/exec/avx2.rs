@@ -1,18 +1,21 @@
 //! AVX2 kernel executor for x86-64 hosts.
 //!
-//! Only the primitives worth vectorizing are overridden — dense dot,
-//! axpy/scal/ewmul, and the gathered CSR row dot — and the composite
-//! kernels (`csr_mv`, `dense_tmv`, the fused pattern rows) inherit the
-//! speedup through them via the trait defaults.
+//! The override surface is the BLAS-1 primitives only — dense dot and
+//! axpy/scal/ewmul — which the dense composites (`dense_mv`,
+//! `dense_tmv`, the dense fused rows) inherit through the trait
+//! defaults. The CSR row-range kernels (`csr_mv`, `csr_tmv`, the fused
+//! CSR pattern rows) keep the scalar defaults: at a few non-zeros per
+//! row a 4-wide gather does not beat the scalar loop, so there is no
+//! sparse override to keep in step with the reference.
 //!
 //! Numerics: the element-wise kernels (`axpy`, `scal`, `ewmul`) perform
 //! exactly one rounding per element in the same order as scalar code, so
-//! they are bit-identical to [`super::ScalarExecutor`]. The reductions
-//! (`dot`, `row_dot_csr`) re-associate the sum into four SIMD lanes
-//! folded in a fixed order, so they may differ from the scalar result by
-//! a small bounded reduction error; multiplication deliberately avoids
-//! FMA so every elementary product still rounds identically to scalar.
-//! Cross-executor tests compare with a tight relative tolerance.
+//! they are bit-identical to [`super::ScalarExecutor`]. The one reduction,
+//! `dot`, re-associates the sum into four SIMD lanes folded in a fixed
+//! order, so it may differ from the scalar result by a small bounded
+//! reduction error; multiplication deliberately avoids FMA so every
+//! elementary product still rounds identically to scalar. Cross-executor
+//! tests compare with a tight relative tolerance.
 //!
 //! Safety model: [`Avx2Executor`] can only be constructed through
 //! [`Avx2Executor::detect`], which gates on
@@ -22,7 +25,6 @@
 //! calls) to keep the crate building on the 1.76 MSRV toolchain.
 
 use super::KernelExecutor;
-use fusedml_matrix::CsrMatrix;
 use std::arch::x86_64::*;
 
 /// AVX2-accelerated kernel executor. Construct via [`Avx2Executor::detect`]
@@ -72,18 +74,6 @@ impl KernelExecutor for Avx2Executor {
         assert_eq!(x.len(), out.len());
         // SAFETY: `detect` proved AVX2 support; slices are equal-length.
         unsafe { ewmul_avx2(x, y, out) }
-    }
-
-    fn row_dot_csr(&self, x: &CsrMatrix, r: usize, y: &[f64]) -> f64 {
-        assert_eq!(y.len(), x.cols(), "gather source length mismatch");
-        let lo = x.row_off()[r];
-        let hi = x.row_off()[r + 1];
-        let cols = &x.col_idx()[lo..hi];
-        let vals = &x.values()[lo..hi];
-        // SAFETY: `detect` proved AVX2 support; the CSR construction
-        // invariant guarantees every column index < cols() == y.len(),
-        // so the gather stays inside `y`.
-        unsafe { row_dot_avx2(cols, vals, y) }
     }
 }
 
@@ -156,30 +146,6 @@ unsafe fn ewmul_avx2(x: &[f64], y: &[f64], out: &mut [f64]) {
     for i in 4 * chunks..n {
         out[i] = x[i] * y[i];
     }
-}
-
-/// Gathered sparse row dot: 4 column indices at a time via
-/// `_mm256_i32gather_pd` (scale 8 = f64 stride), values via unaligned
-/// load, mul + add into a single accumulator, scalar tail.
-///
-/// # Safety
-/// Requires AVX2, and every index in `cols` must be in-bounds for `y`.
-#[target_feature(enable = "avx2")]
-unsafe fn row_dot_avx2(cols: &[u32], vals: &[f64], y: &[f64]) -> f64 {
-    let n = vals.len();
-    let chunks = n / 4;
-    let mut acc = _mm256_setzero_pd();
-    for i in 0..chunks {
-        let idx = _mm_loadu_si128(cols.as_ptr().add(4 * i) as *const __m128i);
-        let g = _mm256_i32gather_pd::<8>(y.as_ptr(), idx);
-        let v = _mm256_loadu_pd(vals.as_ptr().add(4 * i));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, g));
-    }
-    let mut sum = hsum(acc);
-    for i in 4 * chunks..n {
-        sum += vals[i] * y[cols[i] as usize];
-    }
-    sum
 }
 
 #[cfg(test)]

@@ -136,10 +136,8 @@ impl<'e> MtFused<'e> {
             p.fill(0.0);
         }
 
-        let block_range = |b: usize| {
-            let lo = b * block_rows;
-            lo..((b + 1) * block_rows).min(rows)
-        };
+        // Trailing blocks past the last row get the empty range `rows..rows`.
+        let block_range = |b: usize| (b * block_rows).min(rows)..((b + 1) * block_rows).min(rows);
 
         let threads = self.threads.min(nblocks);
         if threads <= 1 {

@@ -10,13 +10,21 @@
 //! ([`fused_mt::MtFused`]) layers deterministic row-block parallelism on
 //! top of whichever executor is active.
 //!
+//! The unit an executor overrides is a BLAS-1 primitive or a whole CSR
+//! row-range kernel, never a single row: the sparse kernels loop over
+//! the CSR slices themselves, so an override would cross its
+//! `target_feature` boundary once per row block. That matters for
+//! short-row matrices, where a per-row call costs more than the row's
+//! arithmetic. [`Avx2Executor`] overrides only the primitives; every
+//! executor runs the scalar CSR kernels.
+//!
 //! Numerical contract, relied on by `tests/executor_equivalence.rs`:
 //!
 //! * [`ScalarExecutor`] (and every trait *default* method) reproduces the
 //!   `fusedml_matrix::reference` implementations **bit for bit** — same
 //!   accumulation order, same zero-skip in the transposed scatter.
-//! * [`Avx2Executor`] re-associates reductions into 4-wide lanes, so its
-//!   results may differ from scalar by a bounded reduction error (a few
+//! * [`Avx2Executor`] re-associates the dense `dot` reduction into 4-wide
+//!   lanes, so its dense results may differ from scalar by a bounded reduction error (a few
 //!   ULPs per element; no FMA is used, so every elementary product rounds
 //!   identically). Cross-executor tests therefore compare with a tight
 //!   relative tolerance rather than bit equality.
@@ -34,7 +42,7 @@ pub use avx2::Avx2Executor;
 pub use fused_mt::{MtFused, MtWorkspace, CANONICAL_BLOCKS};
 pub use scalar::ScalarExecutor;
 
-use fusedml_matrix::{CsrMatrix, DenseMatrix};
+use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -43,9 +51,13 @@ use std::sync::OnceLock;
 /// `w = alpha * X^T (v ⊙ (X y)) + beta * z`.
 ///
 /// Every method has a portable default implementation with scalar
-/// reference semantics; SIMD executors override only the primitives they
-/// accelerate (dot products, axpy-shaped loops), and the composite
-/// kernels inherit the speedup through those primitives.
+/// reference semantics. The unit an executor overrides is either a
+/// BLAS-1 primitive (dot products, axpy-shaped loops), which the dense
+/// composites inherit, or a whole CSR row-range kernel: the sparse
+/// kernels run as one call per row range, looping directly over the
+/// `row_off`/`col_idx`/`values` slices, so a SIMD override pays its
+/// call (and its `target_feature` boundary) once per row block rather
+/// than once per row.
 pub trait KernelExecutor: Sync {
     /// Stable name for reports ("scalar", "avx2").
     fn name(&self) -> &'static str;
@@ -82,36 +94,17 @@ pub trait KernelExecutor: Sync {
         }
     }
 
-    // ---- sparse row primitive ----
-
-    /// Dot product of CSR row `r` with the gathered vector `y`.
-    fn row_dot_csr(&self, x: &CsrMatrix, r: usize, y: &[f64]) -> f64 {
-        x.row_entries(r).map(|(c, v)| v * y[c as usize]).sum()
-    }
-
     // ---- operator-level kernels ----
 
-    /// `out = X * y` (CSR).
+    /// `out = X * y` (CSR): the reference kernel itself.
     fn csr_mv(&self, x: &CsrMatrix, y: &[f64], out: &mut [f64]) {
-        assert_eq!(y.len(), x.cols(), "dimension mismatch in X*y");
-        assert_eq!(out.len(), x.rows(), "output length mismatch in X*y");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.row_dot_csr(x, r, y);
-        }
+        reference::csr_mv_into(x, y, out);
     }
 
-    /// `w = X^T * p` (CSR row-wise scatter; `w` overwritten).
+    /// `w = X^T * p` (CSR row-wise scatter; `w` overwritten): the
+    /// reference kernel itself.
     fn csr_tmv(&self, x: &CsrMatrix, p: &[f64], w: &mut [f64]) {
-        assert_eq!(p.len(), x.rows(), "dimension mismatch in X^T*p");
-        assert_eq!(w.len(), x.cols(), "output length mismatch in X^T*p");
-        w.fill(0.0);
-        for (r, &pr) in p.iter().enumerate() {
-            if pr != 0.0 {
-                for (c, v) in x.row_entries(r) {
-                    w[c as usize] += v * pr;
-                }
-            }
-        }
+        reference::csr_tmv_into(x, p, w);
     }
 
     /// `out = X * y` (dense row-major).
@@ -137,15 +130,19 @@ pub trait KernelExecutor: Sync {
     // ---- fused single-pass building blocks ----
 
     /// Accumulate the *un-scaled* pattern core `X^T (v ⊙ (X y))` for the
-    /// row range `rows` into `acc` (length `cols`, NOT zeroed): each row
-    /// is read exactly once, its dot product with `y` stays in a
-    /// register, and the scatter back into `acc` reuses the same row
-    /// entries — the CPU analog of the paper's fused kernel, with the
-    /// tiling/locality argument of "Improving Locality in Sparse and
-    /// Dense Matrix Multiplications" applied at row-block granularity.
+    /// row range `rows` (`start <= end <= x.rows()`, else a panic) into
+    /// `acc` (length `cols`, NOT zeroed): each row is read exactly once,
+    /// its dot product with `y` stays in a register, and the scatter
+    /// back into `acc` reuses the same row entries — the CPU analog of
+    /// the paper's fused kernel, with the tiling/locality argument of
+    /// "Improving Locality in Sparse and Dense Matrix Multiplications"
+    /// applied at row-block granularity.
     ///
     /// The zero-skip mirrors [`Self::csr_tmv`] so a single full-range
     /// call is bit-identical to the unfused two-pass composition.
+    ///
+    /// This is the unit a sparse SIMD override would replace: the whole
+    /// range runs as one call, so the per-row cost is the loop body only.
     fn fused_pattern_rows_csr(
         &self,
         x: &CsrMatrix,
@@ -156,13 +153,16 @@ pub trait KernelExecutor: Sync {
     ) {
         assert_eq!(y.len(), x.cols());
         assert_eq!(acc.len(), x.cols());
-        for r in rows {
-            let mut t = self.row_dot_csr(x, r, y);
+        let (cols, vals) = (x.col_idx(), x.values());
+        let spans = x.row_off()[rows.start..=rows.end].windows(2);
+        for (r, span) in rows.zip(spans) {
+            let (c, a) = (&cols[span[0]..span[1]], &vals[span[0]..span[1]]);
+            let mut t: f64 = a.iter().zip(c).map(|(v, &c)| v * y[c as usize]).sum();
             if let Some(v) = v {
                 t *= v[r];
             }
             if t != 0.0 {
-                for (c, val) in x.row_entries(r) {
+                for (&c, val) in c.iter().zip(a) {
                     acc[c as usize] += val * t;
                 }
             }

@@ -51,6 +51,12 @@ impl CpuFusedPattern {
         self.exec.name()
     }
 
+    /// The executor the fused kernels run on, for the operator-level
+    /// kernels (`csr_mv`, `ewmul`, ...) of a fused CPU tier.
+    pub fn executor(&self) -> &'static dyn KernelExecutor {
+        self.exec
+    }
+
     pub fn threads(&self) -> usize {
         self.threads
     }

@@ -14,7 +14,9 @@
 //! Backends instrument which Table-1 pattern instantiations execute, which
 //! is how the Table 1 experiment regenerates the paper's matrix.
 
-use fusedml_blas::{level1, BaselineEngine, CpuEngine, Flavor, GpuCsr, GpuDense, SpmvStyle};
+use fusedml_blas::{
+    level1, BaselineEngine, CpuEngine, Flavor, GpuCsr, GpuDense, MtWorkspace, SpmvStyle,
+};
 use fusedml_core::{CpuFusedPattern, FusedExecutor, PatternInstance, PatternSpec, PlanCacheStats};
 use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceError, Gpu, GpuBuffer, PoolStats};
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
@@ -806,16 +808,30 @@ pub enum HostMatrix {
 
 /// Reference CPU execution with an analytical MKL-style clock.
 ///
-/// By default pattern evaluations run the two-scan operator-by-operator
-/// reference path. [`Self::with_fused_execution`] opts the backend into
-/// the real fused CPU kernels (`fusedml_core::CpuFusedPattern`: SIMD
-/// dispatch + deterministic multithreading), which is how the runtime's
-/// recovery ladder can run its Cpu tier fused.
+/// By default every operation runs the operator-by-operator
+/// `fusedml_matrix::reference` path. [`Self::with_fused_execution`] opts
+/// the backend into the real CPU kernels (`fusedml_core::CpuFusedPattern`:
+/// SIMD dispatch + deterministic multithreading), which is how the
+/// runtime's recovery ladder can run its Cpu tier fused.
 pub struct CpuBackend {
     matrix: HostMatrix,
     clock: CpuEngine,
     stats: BackendStats,
-    fused: Option<CpuFusedPattern>,
+    fused: Option<FusedCpu>,
+}
+
+/// The fused tier: the kernels, and the row-block partials the sparse
+/// pattern reuses on every call so steady-state iterations do not
+/// allocate.
+struct FusedCpu {
+    kernels: CpuFusedPattern,
+    ws: MtWorkspace,
+}
+
+/// `v` resized to `len`, for kernels that overwrite their whole output.
+fn resized(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    v.resize(len, 0.0);
+    v
 }
 
 impl CpuBackend {
@@ -839,17 +855,26 @@ impl CpuBackend {
 
     /// Run pattern evaluations through the fused single-pass CPU kernels
     /// with `threads` worker threads (runtime-dispatched executor; results
-    /// are deterministic across thread counts). The analytical clock
-    /// charges the one-pass fused roofline instead of the two-scan one.
+    /// are deterministic across thread counts), and `mv`/`tmv`/`ewmul`
+    /// through the same executor into the caller's buffers. The
+    /// analytical clock charges the one-pass fused roofline for the
+    /// pattern instead of the two-scan one; every other charge is the
+    /// unfused path's.
     pub fn with_fused_execution(mut self, threads: usize) -> Self {
-        self.fused = Some(CpuFusedPattern::new(threads));
+        let kernels = CpuFusedPattern::new(threads);
+        // Only the sparse pattern runs row-block partials.
+        let ws = kernels.workspace(match &self.matrix {
+            HostMatrix::Sparse(x) => x.cols(),
+            HostMatrix::Dense(_) => 0,
+        });
+        self.fused = Some(FusedCpu { kernels, ws });
         self
     }
 
     /// Name of the fused executor in use ("scalar", "avx2"), `None` when
     /// the backend runs the unfused reference path.
     pub fn fused_executor_name(&self) -> Option<&'static str> {
-        self.fused.map(|f| f.executor_name())
+        self.fused.as_ref().map(|f| f.kernels.executor_name())
     }
 
     fn absorb(&mut self) {
@@ -895,7 +920,7 @@ impl Backend for CpuBackend {
         z: Option<&Vec<f64>>,
         w: &mut Vec<f64>,
     ) -> Result<(), DeviceError> {
-        if let Some(fused) = self.fused {
+        if let Some(fused) = &mut self.fused {
             match &self.matrix {
                 HostMatrix::Sparse(x) => {
                     self.clock.pattern_sparse_fused_ms(
@@ -906,14 +931,14 @@ impl Backend for CpuBackend {
                         spec.with_z,
                         spec.alpha != 1.0,
                     );
-                    w.resize(x.cols(), 0.0);
-                    fused.pattern_csr(
+                    fused.kernels.pattern_csr_with(
+                        &mut fused.ws,
                         spec,
                         x,
                         v.map(|v| v.as_slice()),
                         y,
                         z.map(|z| z.as_slice()),
-                        w,
+                        resized(w, x.cols()),
                     );
                 }
                 HostMatrix::Dense(x) => {
@@ -924,14 +949,13 @@ impl Backend for CpuBackend {
                         spec.with_z,
                         spec.alpha != 1.0,
                     );
-                    w.resize(x.cols(), 0.0);
-                    fused.pattern_dense(
+                    fused.kernels.pattern_dense(
                         spec,
                         x,
                         v.map(|v| v.as_slice()),
                         y,
                         z.map(|z| z.as_slice()),
-                        w,
+                        resized(w, x.cols()),
                     );
                 }
             }
@@ -982,35 +1006,49 @@ impl Backend for CpuBackend {
     }
 
     fn try_mv(&mut self, y: &Vec<f64>, out: &mut Vec<f64>) -> Result<(), DeviceError> {
-        *out = match &self.matrix {
-            HostMatrix::Sparse(x) => {
-                self.clock.csrmv_ms(x.nnz(), x.rows());
-                reference::csr_mv(x, y)
-            }
-            HostMatrix::Dense(x) => {
-                self.clock.gemv_ms(x.rows(), x.cols());
-                reference::dense_mv(x, y)
-            }
+        match &self.matrix {
+            HostMatrix::Sparse(x) => self.clock.csrmv_ms(x.nnz(), x.rows()),
+            HostMatrix::Dense(x) => self.clock.gemv_ms(x.rows(), x.cols()),
         };
+        match (&self.fused, &self.matrix) {
+            (Some(f), HostMatrix::Sparse(x)) => {
+                f.kernels.executor().csr_mv(x, y, resized(out, x.rows()))
+            }
+            (Some(f), HostMatrix::Dense(x)) => {
+                f.kernels.executor().dense_mv(x, y, resized(out, x.rows()))
+            }
+            (None, HostMatrix::Sparse(x)) => *out = reference::csr_mv(x, y),
+            (None, HostMatrix::Dense(x)) => *out = reference::dense_mv(x, y),
+        }
         self.absorb();
         Ok(())
     }
 
     fn try_tmv(&mut self, alpha: f64, u: &Vec<f64>, out: &mut Vec<f64>) -> Result<(), DeviceError> {
-        let mut w = match &self.matrix {
-            HostMatrix::Sparse(x) => {
-                self.clock.csrmv_t_ms(x.nnz(), x.rows(), x.cols());
-                reference::csr_tmv(x, u)
-            }
-            HostMatrix::Dense(x) => {
-                self.clock.gemv_t_ms(x.rows(), x.cols());
-                reference::dense_tmv(x, u)
-            }
+        match &self.matrix {
+            HostMatrix::Sparse(x) => self.clock.csrmv_t_ms(x.nnz(), x.rows(), x.cols()),
+            HostMatrix::Dense(x) => self.clock.gemv_t_ms(x.rows(), x.cols()),
         };
-        if alpha != 1.0 {
-            reference::scal(alpha, &mut w);
+        if let Some(f) = &self.fused {
+            let exec = f.kernels.executor();
+            let out = resized(out, self.cols());
+            match &self.matrix {
+                HostMatrix::Sparse(x) => exec.csr_tmv(x, u, out),
+                HostMatrix::Dense(x) => exec.dense_tmv(x, u, out),
+            }
+            if alpha != 1.0 {
+                exec.scal(alpha, out);
+            }
+        } else {
+            let mut w = match &self.matrix {
+                HostMatrix::Sparse(x) => reference::csr_tmv(x, u),
+                HostMatrix::Dense(x) => reference::dense_tmv(x, u),
+            };
+            if alpha != 1.0 {
+                reference::scal(alpha, &mut w);
+            }
+            *out = w;
         }
-        *out = w;
         self.absorb();
         self.stats.record_instance(PatternInstance::XtY);
         Ok(())
@@ -1044,7 +1082,10 @@ impl Backend for CpuBackend {
         out: &mut Vec<f64>,
     ) -> Result<(), DeviceError> {
         self.clock.ewmul_ms(x.len());
-        *out = x.iter().zip(y).map(|(a, b)| a * b).collect();
+        match &self.fused {
+            Some(f) => f.kernels.executor().ewmul(x, y, resized(out, x.len())),
+            None => *out = x.iter().zip(y).map(|(a, b)| a * b).collect(),
+        }
         self.absorb();
         Ok(())
     }

@@ -19,13 +19,19 @@
 //!    a function of matrix shape and block count only.
 //! 4. **`_into` variants == allocating forms, bit for bit**, even into
 //!    NaN-poisoned output buffers.
+//! 5. **Row-range kernels == the per-row composition, bit for bit**: the
+//!    CSR kernels run one call per row range, and every executor's result
+//!    equals one row dot per row followed by the `v` scale, zero-skip and
+//!    scatter — on empty rows, every row length 0–9, power-law rows, `v`
+//!    holding `0.0`/`-0.0`, and sub-ranges that start past row 0.
 
 use fusedml_blas::{
     available_executors, avx2_executor, fused_pattern_csr, fused_pattern_dense, scalar_executor,
     KernelExecutor, MtFused, MtWorkspace,
 };
-use fusedml_matrix::gen::{dense_random, random_vector, uniform_sparse};
-use fusedml_matrix::reference;
+use fusedml_matrix::gen::{dense_random, powerlaw_sparse, random_vector, uniform_sparse};
+use fusedml_matrix::{reference, CsrMatrix};
+use std::ops::Range;
 
 /// SIMD reductions re-associate; everything else must be exact.
 const REDUCTION_REL_L2_TOL: f64 = 1e-13;
@@ -352,5 +358,158 @@ fn into_variants_match_allocating_forms_bit_for_bit() {
         assert!(bits_eq(&out_r, &reference::dense_mv(&d, &y)));
         reference::dense_tmv_into(&d, &p, &mut out_c);
         assert!(bits_eq(&out_c, &reference::dense_tmv(&d, &p)));
+    }
+}
+
+/// A matrix whose first rows cycle through every length 0–9 (empty rows
+/// included), followed by rows with a heavy-tailed length distribution.
+fn short_row_matrix(rng: &mut Rng) -> CsrMatrix {
+    let cols = 10 + rng.below(60);
+    let rows = 20 + rng.below(140);
+    let mut row_off = vec![0];
+    let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+    for r in 0..rows {
+        let len = if r < 30 {
+            r % 10
+        } else {
+            ((1.0 / (0.03 + rng.f64())) as usize).min(cols)
+        };
+        let mut picked: Vec<u32> = Vec::with_capacity(len);
+        while picked.len() < len {
+            let c = rng.below(cols) as u32;
+            if !picked.contains(&c) {
+                picked.push(c);
+            }
+        }
+        picked.sort_unstable();
+        for c in picked {
+            col_idx.push(c);
+            values.push(-1.0 + 2.0 * rng.f64());
+        }
+        row_off.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(rows, cols, row_off, col_idx, values)
+}
+
+/// The row-range kernels' inputs: short-row and power-law matrices, and a
+/// `v` in which about half the entries are `0.0` or `-0.0`.
+fn row_range_cases() -> Vec<(CsrMatrix, Vec<f64>, Vec<f64>)> {
+    let mut rng = Rng::new(0x5407);
+    let mut out = Vec::new();
+    for i in 0..24 {
+        let x = if i % 3 == 2 {
+            powerlaw_sparse(
+                50 + rng.below(200),
+                8 + rng.below(120),
+                3.0,
+                0.8,
+                rng.next(),
+            )
+        } else {
+            short_row_matrix(&mut rng)
+        };
+        let y = random_vector(x.cols(), rng.next());
+        let mut v = random_vector(x.rows(), rng.next());
+        for vi in &mut v {
+            match rng.below(4) {
+                0 => *vi = 0.0,
+                1 => *vi = -0.0,
+                _ => {}
+            }
+        }
+        out.push((x, y, v));
+    }
+    out
+}
+
+/// The per-row composition the row-range kernels replaced: one row's dot
+/// product with `y`, scaled by `v`, skipped if zero, and scattered into
+/// `acc`.
+fn per_row_fused(x: &CsrMatrix, v: Option<&[f64]>, y: &[f64], rows: Range<usize>, acc: &mut [f64]) {
+    for r in rows {
+        let mut t: f64 = x.row_entries(r).map(|(c, a)| a * y[c as usize]).sum();
+        if let Some(v) = v {
+            t *= v[r];
+        }
+        if t != 0.0 {
+            for (c, val) in x.row_entries(r) {
+                acc[c as usize] += val * t;
+            }
+        }
+    }
+}
+
+/// Sub-ranges of `0..rows`, most of them starting past row 0.
+fn sub_ranges(rows: usize) -> Vec<Range<usize>> {
+    let third = rows / 3;
+    vec![
+        0..rows,
+        third..rows,
+        third..2 * third,
+        rows - 1..rows,
+        third..third,
+    ]
+}
+
+#[test]
+fn scalar_fused_rows_match_reference_bit_for_bit() {
+    let exec = scalar_executor();
+    for (i, (x, y, v)) in row_range_cases().iter().enumerate() {
+        for rows in sub_ranges(x.rows()) {
+            let sub = x.slice_rows(rows.start, rows.end);
+            let vs = &v[rows.clone()];
+            let mut acc = vec![0.0; x.cols()];
+            exec.fused_pattern_rows_csr(x, Some(v), y, rows.clone(), &mut acc);
+            let expect = reference::pattern_csr(1.0, &sub, Some(vs), y, 0.0, None);
+            assert!(bits_eq(&acc, &expect), "case {i} rows {rows:?}: fused rows");
+        }
+    }
+}
+
+#[test]
+fn row_range_kernels_equal_the_per_row_composition_bit_for_bit() {
+    for (i, (x, y, v)) in row_range_cases().iter().enumerate() {
+        // A non-zero `acc` (the kernel adds, it does not overwrite) with
+        // some `-0.0` entries, which adding a skipped row's `±0.0`
+        // products would turn into `+0.0`.
+        let mut init = random_vector(x.cols(), i as u64);
+        init.iter_mut().step_by(3).for_each(|a| *a = -0.0);
+        for exec in available_executors() {
+            for rows in sub_ranges(x.rows()) {
+                for v in [None, Some(v.as_slice())] {
+                    let mut got = init.clone();
+                    exec.fused_pattern_rows_csr(x, v, y, rows.clone(), &mut got);
+                    let mut expect = init.clone();
+                    per_row_fused(x, v, y, rows.clone(), &mut expect);
+                    assert!(
+                        bits_eq(&got, &expect),
+                        "case {i} '{}' rows {rows:?} v={}: row-range kernel diverged",
+                        exec.name(),
+                        v.is_some()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mt_fused_short_rows_are_bit_identical_across_thread_counts() {
+    for (i, (x, y, v)) in row_range_cases().iter().enumerate() {
+        for exec in available_executors() {
+            let run = |threads: usize| {
+                let mut w = vec![f64::NAN; x.cols()];
+                MtFused::new(exec, threads).pattern_csr(0.5, x, Some(v), y, 0.0, None, &mut w);
+                w
+            };
+            let base = run(1);
+            for threads in [2, 3, 4, 16] {
+                assert!(
+                    bits_eq(&run(threads), &base),
+                    "case {i} '{}': {threads} threads diverged",
+                    exec.name()
+                );
+            }
+        }
     }
 }
