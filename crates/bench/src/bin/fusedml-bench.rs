@@ -611,7 +611,7 @@ fn cmd_cpu(args: Vec<String>) {
             .unwrap_or(&[])
         {
             eprintln!(
-                "    fused {:<10} x{:<2} {:>9.3} ms  speedup {:>5.2}x  pred/meas {:>5.2}",
+                "    fused {:<17} x{:<2} {:>9.3} ms  speedup {:>5.2}x  pred/meas {:>5.2}",
                 leg.field_str("executor").unwrap_or("?"),
                 leg.field_u64("threads").unwrap_or(0),
                 leg.field_f64("measured_ms").unwrap_or(f64::NAN),

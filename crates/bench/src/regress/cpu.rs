@@ -25,8 +25,10 @@ use fusedml_matrix::gen::{dense_random, powerlaw_sparse, random_vector, uniform_
 use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
 use std::time::Instant;
 
-/// Schema version of the `CPU_fusion.json` report.
-pub const CPU_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the `CPU_fusion.json` report. Version 2 adds the
+/// sparse workloads' length-grouped legs (`<executor>+mt+grouped`),
+/// `regroup_ms` and `equivalence.grouped_rel_l2`.
+pub const CPU_SCHEMA_VERSION: u64 = 2;
 
 /// Shape of a `fusedml-bench cpu` run.
 #[derive(Debug, Clone)]
@@ -56,7 +58,8 @@ impl Default for CpuBenchOptions {
 /// Maximum relative-L2 divergence tolerated between a SIMD executor and
 /// the scalar reference on the fused kernel: the 4-lane reduction
 /// re-association error, orders of magnitude above what mul+add (no FMA)
-/// can accumulate at these sizes.
+/// can accumulate at these sizes. The same bound holds the multithreaded
+/// and length-grouped fused passes, which re-order the scatter's sums.
 pub const SIMD_REL_L2_TOL: f64 = 1e-12;
 
 /// One untimed warm-up, then the minimum over `repeats` timed runs.
@@ -101,7 +104,9 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Measured fused-vs-unfused `q = X^T (X p)` on one sparse matrix;
-/// `kind` names its row-length distribution in the report id.
+/// `kind` names its row-length distribution in the report id. The
+/// `+grouped` legs time the multithreaded fused pass over the matrix in
+/// length-grouped row order, the layout the fused `CpuBackend` tier runs.
 fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<Json, String> {
     let (m, n) = (x.rows(), x.cols());
     let p = random_vector(n, opts.seed + 1);
@@ -165,6 +170,52 @@ fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<
         }
     }
 
+    // Length-grouped row order: `mv` through the row map bit-identical to
+    // the reference, the fused pass within tolerance of it and
+    // bit-identical across every thread count, per executor.
+    let mut grouped = x.clone();
+    let t = Instant::now();
+    let row_map = grouped.group_rows_by_length(MtFused::new(scalar_executor(), 1).block_rows(m));
+    let regroup_ms = t.elapsed().as_secs_f64() * 1e3;
+    let mut grouped_rel_l2 = 0.0f64;
+    for exec in &execs {
+        let mut mv = vec![0.0; m];
+        exec.csr_mv_mapped(&grouped, Some(&row_map), &p, &mut mv);
+        if !bits_eq(&mv, &tmp) {
+            return Err(format!(
+                "equivalence violation: grouped csr_mv ('{}') is not bit-identical to the \
+                 reference",
+                exec.name()
+            ));
+        }
+        let run = |threads: usize| {
+            let mut q = vec![0.0; n];
+            MtFused::new(*exec, threads)
+                .with_row_map(Some(&row_map))
+                .xtxp(&grouped, &p, &mut q);
+            q
+        };
+        let g_ref = run(1);
+        let err = reference::rel_l2_error(&g_ref, &unfused);
+        grouped_rel_l2 = grouped_rel_l2.max(err);
+        if err > SIMD_REL_L2_TOL {
+            return Err(format!(
+                "equivalence violation: grouped fused ('{}') diverges from the unfused \
+                 reference by rel_l2 {err:e} (tolerance {SIMD_REL_L2_TOL:e})",
+                exec.name()
+            ));
+        }
+        for &t in &opts.threads {
+            if !bits_eq(&run(t), &g_ref) {
+                return Err(format!(
+                    "determinism violation: grouped fused ('{}', {t} threads) is not \
+                     bit-identical to its single-thread result",
+                    exec.name()
+                ));
+            }
+        }
+    }
+
     // ---- roofline predictions ----
     let mut clock = CpuEngine::mkl_8threads();
     let unfused_pred = clock.csrmv_ms(x.nnz(), m) + clock.csrmv_t_ms(x.nnz(), m, n);
@@ -186,20 +237,26 @@ fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<
         });
         legs.push(leg_json(exec.name(), 1, fused_ms, fused_pred, unfused_ms));
 
-        for &t in &opts.threads {
-            let mt = MtFused::new(*exec, t);
-            let mut ws = MtWorkspace::new(n, mt.blocks());
-            let mt_ms = min_ms(opts.repeats, || {
-                mt.xtxp_with(&mut ws, x, &p, &mut q);
-                std::hint::black_box(&q);
-            });
-            legs.push(leg_json(
-                &format!("{}+mt", exec.name()),
-                t,
-                mt_ms,
-                fused_pred,
-                unfused_ms,
-            ));
+        let layouts = [
+            ("+mt", x, None),
+            ("+mt+grouped", &grouped, Some(row_map.as_slice())),
+        ];
+        for (layout, xm, map) in layouts {
+            for &t in &opts.threads {
+                let mt = MtFused::new(*exec, t).with_row_map(map);
+                let mut ws = MtWorkspace::new(n, mt.blocks());
+                let mt_ms = min_ms(opts.repeats, || {
+                    mt.xtxp_with(&mut ws, xm, &p, &mut q);
+                    std::hint::black_box(&q);
+                });
+                legs.push(leg_json(
+                    &format!("{}{layout}", exec.name()),
+                    t,
+                    mt_ms,
+                    fused_pred,
+                    unfused_ms,
+                ));
+            }
         }
     }
 
@@ -208,6 +265,7 @@ fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<
         ("rows", Json::u64(m as u64)),
         ("cols", Json::u64(n as u64)),
         ("nnz", Json::u64(x.nnz() as u64)),
+        ("regroup_ms", Json::num(regroup_ms)),
         (
             "unfused",
             Json::obj(vec![
@@ -225,6 +283,7 @@ fn sparse_workload(kind: &str, x: &CsrMatrix, opts: &CpuBenchOptions) -> Result<
             Json::obj(vec![
                 ("scalar_bit_identical", Json::Bool(true)),
                 ("simd_rel_l2", Json::num(simd_rel_l2)),
+                ("grouped_rel_l2", Json::num(grouped_rel_l2)),
                 (
                     "mt_bit_identical_threads",
                     Json::Arr(opts.threads.iter().map(|&t| Json::u64(t as u64)).collect()),
@@ -410,6 +469,12 @@ mod tests {
             assert!(unfused.field_f64("predicted_over_measured").unwrap() > 0.0);
             let legs = wl.field("fused").unwrap().as_arr().unwrap();
             assert!(!legs.is_empty());
+            if wl.field_str("id").unwrap().starts_with("xtxp/") {
+                assert!(wl.field_f64("regroup_ms").unwrap() >= 0.0);
+                assert!(legs
+                    .iter()
+                    .any(|l| l.field_str("executor").unwrap().ends_with("+mt+grouped")));
+            }
             for leg in legs {
                 assert!(leg.field_f64("measured_ms").unwrap() >= 0.0);
                 assert!(leg.field_f64("speedup_vs_unfused").unwrap() > 0.0);

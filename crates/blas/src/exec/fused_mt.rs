@@ -46,6 +46,7 @@ pub struct MtFused<'e> {
     exec: &'e dyn KernelExecutor,
     threads: usize,
     blocks: usize,
+    row_map: Option<&'e [u32]>,
 }
 
 impl<'e> MtFused<'e> {
@@ -56,6 +57,7 @@ impl<'e> MtFused<'e> {
             exec,
             threads: threads.max(1),
             blocks: CANONICAL_BLOCKS,
+            row_map: None,
         }
     }
 
@@ -65,6 +67,25 @@ impl<'e> MtFused<'e> {
     pub fn with_blocks(mut self, blocks: usize) -> Self {
         self.blocks = blocks.max(1);
         self
+    }
+
+    /// Evaluate over a matrix whose stored row `i` is original row
+    /// `row_map[i]` (`None`: the original order), with each block's map a
+    /// permutation of that block's rows — what
+    /// `CsrMatrix::group_rows_by_length` gives for [`Self::block_rows`].
+    /// `v` stays indexed by original row. Every block then sums the same
+    /// rows as in the original order, so the fold is unchanged and the
+    /// result is still bit-identical across thread counts; only the
+    /// scatter order inside a block differs.
+    pub fn with_row_map(mut self, row_map: Option<&'e [u32]>) -> Self {
+        self.row_map = row_map;
+        self
+    }
+
+    /// Rows per canonical block of a `rows`-row matrix: block `b` is rows
+    /// `b * block_rows .. (b + 1) * block_rows`, clipped to the matrix.
+    pub fn block_rows(&self, rows: usize) -> usize {
+        rows.div_ceil(self.blocks.min(rows.max(1))).max(1)
     }
 
     /// Worker thread count.
@@ -103,7 +124,7 @@ impl<'e> MtFused<'e> {
     /// workspace (no allocation — what wall-clock measurement calls).
     ///
     /// Each worker computes whole blocks with the executor's
-    /// [`KernelExecutor::fused_pattern_rows_csr`] single pass; the main
+    /// [`KernelExecutor::fused_pattern_rows_csr_mapped`] single pass; the main
     /// thread then folds block partials in ascending block index.
     #[allow(clippy::too_many_arguments)]
     pub fn pattern_csr_with(
@@ -126,7 +147,7 @@ impl<'e> MtFused<'e> {
         }
 
         let nblocks = self.blocks.min(rows.max(1));
-        let block_rows = rows.div_ceil(nblocks);
+        let block_rows = self.block_rows(rows);
         assert!(
             ws.partials.len() >= nblocks && ws.partials.iter().all(|p| p.len() == cols),
             "workspace shaped for a different matrix or block count"
@@ -143,17 +164,17 @@ impl<'e> MtFused<'e> {
         if threads <= 1 {
             for (b, acc) in partials.iter_mut().enumerate() {
                 self.exec
-                    .fused_pattern_rows_csr(x, v, y, block_range(b), acc);
+                    .fused_pattern_rows_csr_mapped(x, self.row_map, v, y, block_range(b), acc);
             }
         } else {
             let per_thread = nblocks.div_ceil(threads);
-            let exec = self.exec;
+            let (exec, row_map) = (self.exec, self.row_map);
             std::thread::scope(|s| {
                 for (ti, chunk) in partials.chunks_mut(per_thread).enumerate() {
                     s.spawn(move || {
                         for (bi, acc) in chunk.iter_mut().enumerate() {
                             let range = block_range(ti * per_thread + bi);
-                            exec.fused_pattern_rows_csr(x, v, y, range, acc);
+                            exec.fused_pattern_rows_csr_mapped(x, row_map, v, y, range, acc);
                         }
                     });
                 }

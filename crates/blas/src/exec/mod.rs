@@ -31,6 +31,16 @@
 //! * [`fused_mt::MtFused`] is bit-identical *across thread counts* for a
 //!   fixed block count, because its reduction tree is a function of the
 //!   matrix partition only — never of the thread count or schedule.
+//! * Over a matrix in **length-grouped row order**
+//!   (`CsrMatrix::group_rows_by_length`, rows stably sorted by length
+//!   inside each canonical block, plus a row map to the original rows),
+//!   the `*_mapped` CSR kernels index row-indexed vectors through the
+//!   map. `csr_mv_mapped` stays bit-identical to the reference, since
+//!   each row's dot product keeps its order; `csr_tmv_mapped` and the
+//!   fused pattern add each column's products in the grouped row order,
+//!   so they match the reference within a re-ordering tolerance, and
+//!   `MtFused` stays bit-identical across thread counts because every
+//!   block keeps its own rows.
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
@@ -42,7 +52,7 @@ pub use avx2::Avx2Executor;
 pub use fused_mt::{MtFused, MtWorkspace, CANONICAL_BLOCKS};
 pub use scalar::ScalarExecutor;
 
-use fusedml_matrix::{reference, CsrMatrix, DenseMatrix};
+use fusedml_matrix::{CsrMatrix, DenseMatrix};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -96,15 +106,38 @@ pub trait KernelExecutor: Sync {
 
     // ---- operator-level kernels ----
 
-    /// `out = X * y` (CSR): the reference kernel itself.
+    /// `out = X * y` (CSR), bit-identical to `reference::csr_mv_into`.
     fn csr_mv(&self, x: &CsrMatrix, y: &[f64], out: &mut [f64]) {
-        reference::csr_mv_into(x, y, out);
+        self.csr_mv_mapped(x, None, y, out);
     }
 
-    /// `w = X^T * p` (CSR row-wise scatter; `w` overwritten): the
-    /// reference kernel itself.
+    /// [`Self::csr_mv`] over a matrix whose stored row `i` is original
+    /// row `row_map[i]` (`None`: stored order is the original order):
+    /// `out` is indexed by original row. Each row's dot product keeps its
+    /// order, so the result is bit-identical to the reference on the
+    /// original matrix for every row map.
+    fn csr_mv_mapped(&self, x: &CsrMatrix, row_map: Option<&[u32]>, y: &[f64], out: &mut [f64]) {
+        match checked(x, row_map) {
+            None => csr_mv_rows(x, Identity, y, out),
+            Some(map) => csr_mv_rows(x, map, y, out),
+        }
+    }
+
+    /// `w = X^T * p` (CSR row-wise scatter; `w` overwritten),
+    /// bit-identical to `reference::csr_tmv_into`.
     fn csr_tmv(&self, x: &CsrMatrix, p: &[f64], w: &mut [f64]) {
-        reference::csr_tmv_into(x, p, w);
+        self.csr_tmv_mapped(x, None, p, w);
+    }
+
+    /// [`Self::csr_tmv`] over a row-mapped matrix (see
+    /// [`Self::csr_mv_mapped`]): `p` is indexed by original row. The
+    /// scatter adds the rows in stored order, so a non-identity map
+    /// re-orders each `w[c]`'s sum.
+    fn csr_tmv_mapped(&self, x: &CsrMatrix, row_map: Option<&[u32]>, p: &[f64], w: &mut [f64]) {
+        match checked(x, row_map) {
+            None => csr_tmv_rows(x, Identity, p, w),
+            Some(map) => csr_tmv_rows(x, map, p, w),
+        }
     }
 
     /// `out = X * y` (dense row-major).
@@ -140,9 +173,6 @@ pub trait KernelExecutor: Sync {
     ///
     /// The zero-skip mirrors [`Self::csr_tmv`] so a single full-range
     /// call is bit-identical to the unfused two-pass composition.
-    ///
-    /// This is the unit a sparse SIMD override would replace: the whole
-    /// range runs as one call, so the per-row cost is the loop body only.
     fn fused_pattern_rows_csr(
         &self,
         x: &CsrMatrix,
@@ -151,21 +181,29 @@ pub trait KernelExecutor: Sync {
         rows: Range<usize>,
         acc: &mut [f64],
     ) {
-        assert_eq!(y.len(), x.cols());
-        assert_eq!(acc.len(), x.cols());
-        let (cols, vals) = (x.col_idx(), x.values());
-        let spans = x.row_off()[rows.start..=rows.end].windows(2);
-        for (r, span) in rows.zip(spans) {
-            let (c, a) = (&cols[span[0]..span[1]], &vals[span[0]..span[1]]);
-            let mut t: f64 = a.iter().zip(c).map(|(v, &c)| v * y[c as usize]).sum();
-            if let Some(v) = v {
-                t *= v[r];
-            }
-            if t != 0.0 {
-                for (&c, val) in c.iter().zip(a) {
-                    acc[c as usize] += val * t;
-                }
-            }
+        self.fused_pattern_rows_csr_mapped(x, None, v, y, rows, acc);
+    }
+
+    /// [`Self::fused_pattern_rows_csr`] over a row-mapped matrix (see
+    /// [`Self::csr_mv_mapped`]): `rows` are stored rows, and `v` is
+    /// indexed by original row. Each row's scaled dot product is the same
+    /// as in the original order; the scatter into `acc` follows the
+    /// stored order.
+    ///
+    /// This is the unit a sparse SIMD override would replace: the whole
+    /// range runs as one call, so the per-row cost is the loop body only.
+    fn fused_pattern_rows_csr_mapped(
+        &self,
+        x: &CsrMatrix,
+        row_map: Option<&[u32]>,
+        v: Option<&[f64]>,
+        y: &[f64],
+        rows: Range<usize>,
+        acc: &mut [f64],
+    ) {
+        match checked(x, row_map) {
+            None => pattern_rows(x, Identity, v, y, rows, acc),
+            Some(map) => pattern_rows(x, map, v, y, rows, acc),
         }
     }
 
@@ -187,6 +225,90 @@ pub trait KernelExecutor: Sync {
                 t *= v[r];
             }
             self.axpy(t, x.row(r), acc);
+        }
+    }
+}
+
+/// The original row of each stored CSR row. The CSR kernels are generic
+/// over it, so one loop body serves a matrix in its original order
+/// ([`Identity`], which compiles to the plain row loop) and one regrouped
+/// by `CsrMatrix::group_rows_by_length` (its `&[u32]` row map).
+trait RowMap: Copy {
+    fn row(self, stored: usize) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct Identity;
+
+impl RowMap for Identity {
+    #[inline(always)]
+    fn row(self, stored: usize) -> usize {
+        stored
+    }
+}
+
+impl RowMap for &[u32] {
+    #[inline(always)]
+    fn row(self, stored: usize) -> usize {
+        self[stored] as usize
+    }
+}
+
+/// `row_map`, after checking it has one entry per stored row.
+fn checked<'m>(x: &CsrMatrix, row_map: Option<&'m [u32]>) -> Option<&'m [u32]> {
+    if let Some(map) = row_map {
+        assert_eq!(map.len(), x.rows(), "row map length mismatch");
+    }
+    row_map
+}
+
+fn csr_mv_rows(x: &CsrMatrix, map: impl RowMap, y: &[f64], out: &mut [f64]) {
+    assert_eq!(y.len(), x.cols(), "dimension mismatch in X*y");
+    assert_eq!(out.len(), x.rows(), "output length mismatch in X*y");
+    let (cols, vals) = (x.col_idx(), x.values());
+    for (i, span) in x.row_off().windows(2).enumerate() {
+        let (c, a) = (&cols[span[0]..span[1]], &vals[span[0]..span[1]]);
+        out[map.row(i)] = a.iter().zip(c).map(|(v, &c)| v * y[c as usize]).sum();
+    }
+}
+
+fn csr_tmv_rows(x: &CsrMatrix, map: impl RowMap, p: &[f64], w: &mut [f64]) {
+    assert_eq!(p.len(), x.rows(), "dimension mismatch in X^T*p");
+    assert_eq!(w.len(), x.cols(), "output length mismatch in X^T*p");
+    w.fill(0.0);
+    let (cols, vals) = (x.col_idx(), x.values());
+    for (i, span) in x.row_off().windows(2).enumerate() {
+        let pr = p[map.row(i)];
+        if pr != 0.0 {
+            for (&c, v) in cols[span[0]..span[1]].iter().zip(&vals[span[0]..span[1]]) {
+                w[c as usize] += v * pr;
+            }
+        }
+    }
+}
+
+fn pattern_rows(
+    x: &CsrMatrix,
+    map: impl RowMap,
+    v: Option<&[f64]>,
+    y: &[f64],
+    rows: Range<usize>,
+    acc: &mut [f64],
+) {
+    assert_eq!(y.len(), x.cols());
+    assert_eq!(acc.len(), x.cols());
+    let (cols, vals) = (x.col_idx(), x.values());
+    let spans = x.row_off()[rows.start..=rows.end].windows(2);
+    for (i, span) in rows.zip(spans) {
+        let (c, a) = (&cols[span[0]..span[1]], &vals[span[0]..span[1]]);
+        let mut t: f64 = a.iter().zip(c).map(|(v, &c)| v * y[c as usize]).sum();
+        if let Some(v) = v {
+            t *= v[map.row(i)];
+        }
+        if t != 0.0 {
+            for (&c, val) in c.iter().zip(a) {
+                acc[c as usize] += val * t;
+            }
         }
     }
 }

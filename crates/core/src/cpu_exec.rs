@@ -67,6 +67,16 @@ impl CpuFusedPattern {
         MtWorkspace::new(cols, self.mt().blocks())
     }
 
+    /// Regroup `x` in place into length-grouped row order inside this
+    /// evaluator's canonical row blocks (see
+    /// `CsrMatrix::group_rows_by_length`), returning the row map to pass
+    /// to [`Self::pattern_csr_with`] and the executor's `*_mapped`
+    /// kernels. Each block keeps its rows, so results stay bit-identical
+    /// across thread counts.
+    pub fn group_rows(&self, x: &mut CsrMatrix) -> Vec<u32> {
+        x.group_rows_by_length(self.mt().block_rows(x.rows()))
+    }
+
     fn mt(&self) -> MtFused<'static> {
         MtFused::new(self.exec, self.threads)
     }
@@ -88,14 +98,17 @@ impl CpuFusedPattern {
     }
 
     /// Allocation-free [`Self::pattern_csr`] with a caller-held
-    /// [`MtWorkspace`] (see [`Self::workspace`]).
-    // Equation 1's operands plus the workspace, in equation order.
+    /// [`MtWorkspace`] (see [`Self::workspace`]), over `x` in the row
+    /// order `row_map` describes (`None`: the original order; see
+    /// [`Self::group_rows`]).
+    // Equation 1's operands plus the workspace and row map, in equation order.
     #[allow(clippy::too_many_arguments)]
     pub fn pattern_csr_with(
         &self,
         ws: &mut MtWorkspace,
         spec: PatternSpec,
         x: &CsrMatrix,
+        row_map: Option<&[u32]>,
         v: Option<&[f64]>,
         y: &[f64],
         z: Option<&[f64]>,
@@ -104,6 +117,7 @@ impl CpuFusedPattern {
         assert_eq!(spec.with_v, v.is_some(), "spec/v operand mismatch");
         assert_eq!(spec.with_z, z.is_some(), "spec/z operand mismatch");
         self.mt()
+            .with_row_map(row_map)
             .pattern_csr_with(ws, spec.alpha, x, v, y, spec.beta, z, w);
     }
 

@@ -295,6 +295,73 @@ impl CsrMatrix {
         }
     }
 
+    /// Regroup this matrix in place into *length-grouped row order*: the
+    /// rows of each block of `block_rows` consecutive rows (the last block
+    /// may be shorter) are stably sorted by length, shortest first.
+    /// Returns the row map: stored row `i` is original row `map[i]`.
+    ///
+    /// Each block's map is a permutation of that block's own rows, rows of
+    /// equal length keep their relative order, and every row keeps its
+    /// entries bit for bit, so a row kernel that reads its row-indexed
+    /// operands through the map computes each row exactly as before. What
+    /// changes is that a row loop sees runs of equal trip counts. The
+    /// entries move through one block of scratch; the matrix is not copied.
+    ///
+    /// # Panics
+    /// If `block_rows` is 0, or the row count does not fit a `u32`.
+    pub fn group_rows_by_length(&mut self, block_rows: usize) -> Vec<u32> {
+        assert!(block_rows > 0, "row blocks must hold at least one row");
+        assert!(
+            u32::try_from(self.rows).is_ok(),
+            "{} rows do not fit a u32 row map",
+            self.rows
+        );
+        let mut map = vec![0u32; self.rows];
+        let (mut offs, mut cols, mut vals, mut slot) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for start in (0..self.rows).step_by(block_rows) {
+            let end = start.saturating_add(block_rows).min(self.rows);
+            offs.clear();
+            offs.extend_from_slice(&self.row_off[start..=end]);
+            let (base, stop) = (offs[0], offs[end - start]);
+
+            // Stable counting sort by length: `slot[len]` is the next
+            // position for a row of that length.
+            let lens = || offs.windows(2).map(|w| w[1] - w[0]);
+            slot.clear();
+            slot.resize(lens().max().unwrap_or(0) + 1, 0usize);
+            for len in lens() {
+                slot[len] += 1;
+            }
+            let mut first = 0;
+            for s in slot.iter_mut() {
+                let count = *s;
+                *s = first;
+                first += count;
+            }
+            for (r, len) in (start..end).zip(lens()) {
+                map[start + slot[len]] = r as u32;
+                slot[len] += 1;
+            }
+
+            cols.clear();
+            cols.extend_from_slice(&self.col_idx[base..stop]);
+            vals.clear();
+            vals.extend_from_slice(&self.values[base..stop]);
+            let mut at = base;
+            for (i, &r) in (start..end).zip(&map[start..end]) {
+                let r = r as usize - start;
+                let span = offs[r] - base..offs[r + 1] - base;
+                let next = at + span.len();
+                self.col_idx[at..next].copy_from_slice(&cols[span.clone()]);
+                self.values[at..next].copy_from_slice(&vals[span]);
+                self.row_off[i + 1] = next;
+                at = next;
+            }
+        }
+        map
+    }
+
     /// Build from COO triplets (sorted and de-duplicated by summing).
     pub fn from_coo(coo: &Coo) -> Self {
         let mut triplets: Vec<(u32, u32, f64)> = coo.triplets().to_vec();
@@ -420,6 +487,100 @@ mod tests {
         // Concatenating slices covers every entry exactly once.
         let total: usize = (0..3).map(|r| m.slice_rows(r, r + 1).nnz()).sum();
         assert_eq!(total, m.nnz());
+    }
+
+    /// Regroup a copy of `x` in blocks of `block_rows` rows, check the
+    /// grouped order, and check that undoing the map gives `x` back.
+    fn check_grouping(x: &CsrMatrix, block_rows: usize) {
+        let mut g = x.clone();
+        let map = g.group_rows_by_length(block_rows);
+        assert_eq!((g.rows(), g.cols(), g.nnz()), (x.rows(), x.cols(), x.nnz()));
+        assert_eq!(map.len(), x.rows());
+        for start in (0..x.rows()).step_by(block_rows) {
+            let end = (start + block_rows).min(x.rows());
+            for w in map[start..end].windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                let (la, lb) = (x.row_nnz(a), x.row_nnz(b));
+                assert!(
+                    la < lb || (la == lb && a < b),
+                    "block {start}: rows {a}, {b} out of order"
+                );
+            }
+            let mut rows: Vec<usize> = map[start..end].iter().map(|&r| r as usize).collect();
+            rows.sort_unstable();
+            assert_eq!(
+                rows,
+                (start..end).collect::<Vec<_>>(),
+                "block {start} is not a permutation"
+            );
+        }
+
+        // Undo the map: original row `r` is stored row `stored[r]`.
+        let mut stored = vec![0; x.rows()];
+        for (i, &r) in map.iter().enumerate() {
+            stored[r as usize] = i;
+        }
+        let (mut row_off, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for &i in &stored {
+            for (c, v) in g.row_entries(i) {
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_off.push(col_idx.len());
+        }
+        let back = CsrMatrix::from_parts(x.rows(), x.cols(), row_off, col_idx, values);
+        assert_eq!(back, *x);
+        assert!(back
+            .values()
+            .iter()
+            .zip(x.values())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn length_grouping_permutes_rows_within_blocks_and_undoes_exactly() {
+        // Empty rows, blocks of one row (fewer rows than blocks), uneven
+        // last blocks, and one block holding every row.
+        let m = sample();
+        for block_rows in [1, 2, 3, 10] {
+            check_grouping(&m, block_rows);
+        }
+        let mut g = m.clone();
+        assert_eq!(g.group_rows_by_length(3), vec![1, 0, 2]);
+        assert_eq!(g.row_off(), &[0, 0, 2, 4]);
+
+        let p = crate::gen::powerlaw_sparse(203, 60, 3.0, 0.8, 9);
+        for block_rows in [1, 7, 26, 203, 1000] {
+            check_grouping(&p, block_rows);
+        }
+        // A single row, no entries at all, no rows at all.
+        check_grouping(&p.slice_rows(5, 6), 4);
+        check_grouping(&CsrMatrix::empty(9, 4), 4);
+        check_grouping(&CsrMatrix::empty(0, 4), 4);
+    }
+
+    #[test]
+    fn length_grouping_keeps_rows_of_equal_length_in_place() {
+        let rows = 12;
+        let row_off = (0..=rows).map(|r| 2 * r).collect();
+        let col_idx = (0..rows)
+            .flat_map(|r| [r as u32 % 3, 3 + r as u32 % 2])
+            .collect();
+        let values = (0..2 * rows).map(|i| i as f64 - 5.5).collect();
+        let x = CsrMatrix::from_parts(rows, 5, row_off, col_idx, values);
+        let mut g = x.clone();
+        assert_eq!(
+            g.group_rows_by_length(5),
+            (0..rows as u32).collect::<Vec<_>>()
+        );
+        assert_eq!(g, x);
+        check_grouping(&x, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one row")]
+    fn length_grouping_rejects_empty_blocks() {
+        sample().group_rows_by_length(0);
     }
 
     #[test]

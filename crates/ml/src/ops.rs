@@ -820,12 +820,14 @@ pub struct CpuBackend {
     fused: Option<FusedCpu>,
 }
 
-/// The fused tier: the kernels, and the row-block partials the sparse
+/// The fused tier: the kernels, the row-block partials the sparse
 /// pattern reuses on every call so steady-state iterations do not
-/// allocate.
+/// allocate, and the row map of the length-grouped sparse matrix (empty
+/// for dense input).
 struct FusedCpu {
     kernels: CpuFusedPattern,
     ws: MtWorkspace,
+    row_map: Vec<u32>,
 }
 
 /// `v` resized to `len`, for kernels that overwrite their whole output.
@@ -860,14 +862,33 @@ impl CpuBackend {
     /// analytical clock charges the one-pass fused roofline for the
     /// pattern instead of the two-scan one; every other charge is the
     /// unfused path's.
+    ///
+    /// A sparse matrix is regrouped once, in place, into length-grouped
+    /// row order inside each canonical row block
+    /// (`CpuFusedPattern::group_rows`), and the sparse kernels read and
+    /// write row-indexed vectors through its row map. Short-row matrices
+    /// then run their row loops in runs of equal trip count instead of
+    /// mispredicting the loop exit on nearly every row. The backend still
+    /// holds one copy of the matrix. `mv` stays bit-identical to the
+    /// reference; the pattern and `tmv` add each column's products in the
+    /// grouped row order, so they differ from the reference by rounding
+    /// only, and stay bit-identical across thread counts.
     pub fn with_fused_execution(mut self, threads: usize) -> Self {
         let kernels = CpuFusedPattern::new(threads);
-        // Only the sparse pattern runs row-block partials.
-        let ws = kernels.workspace(match &self.matrix {
-            HostMatrix::Sparse(x) => x.cols(),
-            HostMatrix::Dense(_) => 0,
+        // Only the sparse pattern runs row-block partials; the block
+        // partition depends on the row count alone, so a second call keeps
+        // the grouping (and row map) of the first.
+        let (cols, row_map) = match (self.fused.take(), &mut self.matrix) {
+            (Some(f), HostMatrix::Sparse(x)) => (x.cols(), f.row_map),
+            (None, HostMatrix::Sparse(x)) => (x.cols(), kernels.group_rows(x)),
+            (_, HostMatrix::Dense(_)) => (0, Vec::new()),
+        };
+        let ws = kernels.workspace(cols);
+        self.fused = Some(FusedCpu {
+            kernels,
+            ws,
+            row_map,
         });
-        self.fused = Some(FusedCpu { kernels, ws });
         self
     }
 
@@ -935,6 +956,7 @@ impl Backend for CpuBackend {
                         &mut fused.ws,
                         spec,
                         x,
+                        Some(&fused.row_map),
                         v.map(|v| v.as_slice()),
                         y,
                         z.map(|z| z.as_slice()),
@@ -1012,7 +1034,9 @@ impl Backend for CpuBackend {
         };
         match (&self.fused, &self.matrix) {
             (Some(f), HostMatrix::Sparse(x)) => {
-                f.kernels.executor().csr_mv(x, y, resized(out, x.rows()))
+                f.kernels
+                    .executor()
+                    .csr_mv_mapped(x, Some(&f.row_map), y, resized(out, x.rows()))
             }
             (Some(f), HostMatrix::Dense(x)) => {
                 f.kernels.executor().dense_mv(x, y, resized(out, x.rows()))
@@ -1033,7 +1057,7 @@ impl Backend for CpuBackend {
             let exec = f.kernels.executor();
             let out = resized(out, self.cols());
             match &self.matrix {
-                HostMatrix::Sparse(x) => exec.csr_tmv(x, u, out),
+                HostMatrix::Sparse(x) => exec.csr_tmv_mapped(x, Some(&f.row_map), u, out),
                 HostMatrix::Dense(x) => exec.dense_tmv(x, u, out),
             }
             if alpha != 1.0 {
@@ -1196,6 +1220,20 @@ mod tests {
         // The analytical clock charges the one-pass roofline: strictly
         // cheaper than the two-scan reference path.
         assert!(fused.stats().sim_ms < plain.stats().sim_ms);
+    }
+
+    #[test]
+    fn fused_execution_set_twice_keeps_the_first_row_grouping() {
+        let x = fusedml_matrix::gen::powerlaw_sparse(150, 60, 4.0, 0.8, 97);
+        let y = random_vector(60, 9);
+        let mut once = CpuBackend::new_sparse(x.clone()).with_fused_execution(1);
+        let mut twice = CpuBackend::new_sparse(x)
+            .with_fused_execution(1)
+            .with_fused_execution(2);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        once.mv(&y, &mut a);
+        twice.mv(&y, &mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -24,17 +24,30 @@
 //!    equals one row dot per row followed by the `v` scale, zero-skip and
 //!    scatter — on empty rows, every row length 0–9, power-law rows, `v`
 //!    holding `0.0`/`-0.0`, and sub-ranges that start past row 0.
+//! 6. **Length-grouped row order changes only the scatter order**: on the
+//!    same short-row inputs regrouped by `CsrMatrix::group_rows_by_length`,
+//!    `csr_mv` through the row map is bit-identical to the reference (each
+//!    row's dot product keeps its order), the pattern and `csr_tmv` stay
+//!    within a re-ordering tolerance of it, and the grouped fused
+//!    `CpuBackend` tier is bit-identical across thread counts.
 
 use fusedml_blas::{
     available_executors, avx2_executor, fused_pattern_csr, fused_pattern_dense, scalar_executor,
     KernelExecutor, MtFused, MtWorkspace,
 };
+use fusedml_core::PatternSpec;
 use fusedml_matrix::gen::{dense_random, powerlaw_sparse, random_vector, uniform_sparse};
 use fusedml_matrix::{reference, CsrMatrix};
+use fusedml_ml::{Backend, CpuBackend};
 use std::ops::Range;
 
 /// SIMD reductions re-associate; everything else must be exact.
 const REDUCTION_REL_L2_TOL: f64 = 1e-13;
+
+/// Length-grouped row order adds each output's products in another row
+/// order: a few roundings per element (measured at most 1.8e-16 on these
+/// inputs and below 1e-15 on a 200000-row power-law matrix).
+const REORDER_REL_L2_TOL: f64 = 1e-13;
 
 /// SplitMix64: tiny, seedable, and good enough to sweep shape space.
 struct Rng(u64);
@@ -508,6 +521,114 @@ fn mt_fused_short_rows_are_bit_identical_across_thread_counts() {
                     bits_eq(&run(threads), &base),
                     "case {i} '{}': {threads} threads diverged",
                     exec.name()
+                );
+            }
+        }
+    }
+}
+
+/// `x` regrouped into length-grouped row order inside the canonical row
+/// blocks, and its row map.
+fn grouped(x: &CsrMatrix) -> (CsrMatrix, Vec<u32>) {
+    let mut g = x.clone();
+    let map = g.group_rows_by_length(MtFused::new(scalar_executor(), 1).block_rows(x.rows()));
+    (g, map)
+}
+
+#[test]
+fn grouped_csr_mv_is_bit_identical_to_reference() {
+    for (i, (x, y, _)) in row_range_cases().iter().enumerate() {
+        let (g, map) = grouped(x);
+        let expect = reference::csr_mv(x, y);
+        for exec in available_executors() {
+            let mut out = vec![f64::NAN; x.rows()];
+            exec.csr_mv_mapped(&g, Some(&map), y, &mut out);
+            assert!(
+                bits_eq(&out, &expect),
+                "case {i} '{}': grouped csr_mv diverged from the reference",
+                exec.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn grouped_pattern_and_tmv_stay_within_reorder_tolerance_of_reference() {
+    for (i, (x, y, v)) in row_range_cases().iter().enumerate() {
+        let (g, map) = grouped(x);
+        let tmv = reference::csr_tmv(x, v);
+        let pattern = reference::pattern_csr(0.5, x, Some(v), y, 0.0, None);
+        for exec in available_executors() {
+            let mut w = vec![f64::NAN; x.cols()];
+            exec.csr_tmv_mapped(&g, Some(&map), v, &mut w);
+            let err = reference::rel_l2_error(&w, &tmv);
+            assert!(
+                err <= REORDER_REL_L2_TOL,
+                "case {i} '{}': grouped csr_tmv rel_l2 {err:e}",
+                exec.name()
+            );
+
+            let run = |threads: usize| {
+                let mut w = vec![f64::NAN; x.cols()];
+                MtFused::new(exec, threads)
+                    .with_row_map(Some(&map))
+                    .pattern_csr(0.5, &g, Some(v), y, 0.0, None, &mut w);
+                w
+            };
+            let base = run(1);
+            let err = reference::rel_l2_error(&base, &pattern);
+            assert!(
+                err <= REORDER_REL_L2_TOL,
+                "case {i} '{}': grouped pattern rel_l2 {err:e}",
+                exec.name()
+            );
+            for threads in [2, 3, 16] {
+                assert!(
+                    bits_eq(&run(threads), &base),
+                    "case {i} '{}': grouped pattern at {threads} threads diverged",
+                    exec.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_fused_cpu_tier_is_bit_identical_across_thread_counts() {
+    for (i, (x, y, v)) in row_range_cases().iter().enumerate() {
+        let run = |threads: usize| {
+            let mut b = CpuBackend::new_sparse(x.clone()).with_fused_execution(threads);
+            let (yv, vv) = (b.from_host("y", y), b.from_host("v", v));
+            let mut w = b.zeros("w", x.cols());
+            b.pattern(PatternSpec::xtvxy(), Some(&vv), &yv, None, &mut w);
+            let mut t = b.zeros("t", x.cols());
+            b.tmv(1.0, &vv, &mut t);
+            let mut o = b.zeros("o", x.rows());
+            b.mv(&yv, &mut o);
+            [w, t, o]
+        };
+        let base = run(1);
+        assert!(
+            bits_eq(&base[2], &reference::csr_mv(x, y)),
+            "case {i}: fused tier mv diverged from the reference"
+        );
+        let pattern = reference::pattern_csr(1.0, x, Some(v), y, 0.0, None);
+        let err = reference::rel_l2_error(&base[0], &pattern);
+        assert!(
+            err <= REORDER_REL_L2_TOL,
+            "case {i}: fused tier pattern rel_l2 {err:e}"
+        );
+        let err = reference::rel_l2_error(&base[1], &reference::csr_tmv(x, v));
+        assert!(
+            err <= REORDER_REL_L2_TOL,
+            "case {i}: fused tier tmv rel_l2 {err:e}"
+        );
+        for threads in [2, 3, 16] {
+            let got = run(threads);
+            for (k, name) in ["pattern", "tmv", "mv"].iter().enumerate() {
+                assert!(
+                    bits_eq(&got[k], &base[k]),
+                    "case {i}: fused tier {name} at {threads} threads diverged"
                 );
             }
         }
