@@ -7,6 +7,13 @@
 //! the next attempt. Every retry and every degradation decision is
 //! recorded as a [`RecoveryEvent`] so the session report can show *why*
 //! a run ended on the tier it did.
+//!
+//! One driver, `run_ladder`, runs every ladder in the crate: this
+//! single-device one, the shard ladder ([`crate::shard_recovery`]) and
+//! the per-request serve ladder ([`crate::serve`](mod@crate::serve)).
+//! Each ladder supplies only its tier order and retry rule
+//! ([`RecoveryTier`]), an attempt closure, and where its trace instants
+//! go.
 
 use crate::session::DataSet;
 use fusedml_gpu_sim::Gpu;
@@ -15,18 +22,29 @@ use fusedml_ml::{
     try_lr_cg_ckpt, Backend, BackendStats, BaselineBackend, CheckpointHandle, CpuBackend,
     FusedBackend, LrCgOptions, LrCgResult, SolverError,
 };
+use fusedml_trace::ArgValue;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A rung of some degradation ladder: anything with a stable report name.
-/// The ladder bookkeeping types ([`RecoveryEvent`], [`LadderOutcome`],
-/// [`LadderError`]) are generic over the tier so the single-device ladder
-/// (`Fused -> Baseline -> Cpu`) and the multi-device shard ladder
-/// (`ShardRetry -> Reshard -> SingleDevice -> Cpu`, see
-/// [`crate::shard_recovery`]) share one event trail format.
-pub trait RecoveryTier {
+/// A rung of some degradation ladder. The ladder bookkeeping types
+/// ([`RecoveryEvent`], [`LadderOutcome`], [`LadderError`]) are generic
+/// over the tier so the single-device ladder (`Fused -> Baseline -> Cpu`),
+/// the multi-device shard ladder (`ShardRetry -> Reshard -> SingleDevice
+/// -> Cpu`, see [`crate::shard_recovery`]) and the serve ladder
+/// (`Fused -> Streamed -> Cpu`) share one driver and one event trail
+/// format.
+pub trait RecoveryTier: Copy {
     /// Stable name for reports.
     fn name(&self) -> &'static str;
+
+    /// The next, more conservative tier; `None` from the last rung.
+    fn degrade(&self) -> Option<Self>;
+
+    /// Whether a failed attempt is worth repeating on the same tier
+    /// (retries left permitting). Transient faults by default.
+    fn retryable(&self, e: &SolverError) -> bool {
+        e.is_transient()
+    }
 }
 
 /// Execution tier of the degradation ladder, fastest first.
@@ -40,29 +58,21 @@ pub enum BackendTier {
     Cpu,
 }
 
-impl BackendTier {
-    /// The next, more conservative tier; `None` from [`BackendTier::Cpu`].
-    pub fn degrade(self) -> Option<BackendTier> {
-        match self {
-            BackendTier::Fused => Some(BackendTier::Baseline),
-            BackendTier::Baseline => Some(BackendTier::Cpu),
-            BackendTier::Cpu => None,
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
+impl RecoveryTier for BackendTier {
+    fn name(&self) -> &'static str {
         match self {
             BackendTier::Fused => "fused",
             BackendTier::Baseline => "baseline",
             BackendTier::Cpu => "cpu",
         }
     }
-}
 
-impl RecoveryTier for BackendTier {
-    fn name(&self) -> &'static str {
-        BackendTier::name(*self)
+    fn degrade(&self) -> Option<BackendTier> {
+        match self {
+            BackendTier::Fused => Some(BackendTier::Baseline),
+            BackendTier::Baseline => Some(BackendTier::Cpu),
+            BackendTier::Cpu => None,
+        }
     }
 }
 
@@ -136,6 +146,24 @@ impl RecoveryPolicy {
     pub fn backoff_for(&self, retry: usize) -> f64 {
         self.backoff_ms * self.backoff_multiplier.powi(retry.saturating_sub(1) as i32)
     }
+
+    /// The snapshot handle every attempt of one ladder run shares;
+    /// `None` with checkpointing off.
+    pub(crate) fn checkpoint_handle(&self) -> Option<CheckpointHandle> {
+        (self.checkpoint_every > 0).then(|| CheckpointHandle::new(self.checkpoint_every))
+    }
+
+    /// The Cpu tier's backend over `b`'s matrix: the fused single-pass
+    /// kernels on `cpu_fused_threads` workers when that is set, the
+    /// unfused reference path otherwise. Every ladder's Cpu tier is
+    /// built here.
+    pub(crate) fn cpu_tier(&self, b: CpuBackend) -> CpuBackend {
+        if self.cpu_fused_threads > 0 {
+            b.with_fused_execution(self.cpu_fused_threads)
+        } else {
+            b
+        }
+    }
 }
 
 /// Where the ladder landed, with the full decision trail.
@@ -196,6 +224,25 @@ impl<T> LadderError<T> {
     }
 }
 
+impl<T: Copy> LadderError<T> {
+    /// The ladder gave up before its first attempt on `start`: no
+    /// attempts, one `Abort` event, and `error` as the only tier error.
+    pub(crate) fn unstarted(start: T, error: SolverError) -> Self {
+        LadderError {
+            events: vec![RecoveryEvent {
+                tier: start,
+                attempt: 0,
+                error_kind: error.kind().to_string(),
+                detail: error.to_string(),
+                action: RecoveryAction::Abort,
+                backoff_ms: 0.0,
+            }],
+            tier_errors: vec![(start, error)],
+            attempts: 0,
+        }
+    }
+}
+
 impl<T: RecoveryTier> fmt::Display for LadderError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -219,56 +266,242 @@ impl<T: RecoveryTier + fmt::Debug> std::error::Error for LadderError<T> {
     }
 }
 
+/// Where a ladder's trace instants go: the category and track each one
+/// is recorded on, and the args that lead each instant's own.
+pub(crate) struct LadderTrace<'a, T> {
+    pub category: &'a str,
+    pub track: &'a str,
+    pub lead: &'a [(&'a str, ArgValue)],
+    pub before_degrade: Option<DegradeHook<'a, T>>,
+}
+
+/// Records extra instants just before a `degrade` instant; called with
+/// the tier being degraded to, only while tracing is on.
+pub(crate) type DegradeHook<'a, T> = &'a dyn Fn(T, &SolverError);
+
+impl<T> LadderTrace<'_, T> {
+    /// The session and shard ladders' scope: category `recovery`, track
+    /// `host`, no leading args.
+    pub(crate) fn host() -> Self {
+        LadderTrace {
+            category: "recovery",
+            track: "host",
+            lead: &[],
+            before_degrade: None,
+        }
+    }
+
+    fn instant(&self, name: &str, args: impl FnOnce() -> Vec<(&'static str, ArgValue)>) {
+        if fusedml_trace::is_enabled() {
+            let mut all = self.lead.to_vec();
+            all.extend(args());
+            fusedml_trace::instant(self.category, name, self.track, &all);
+        }
+    }
+}
+
+/// What the driver hands each attempt.
+pub(crate) struct Attempt<T> {
+    pub tier: T,
+    /// 1-based attempt number across every tier.
+    pub number: usize,
+    /// Backoff charged just before this attempt: 0 unless it is a retry.
+    pub backoff_ms: f64,
+}
+
+/// A ladder run that succeeded: the successful attempt's tier and value,
+/// and the trail that led there.
+pub(crate) struct Landed<T, R> {
+    pub tier: T,
+    pub attempts: usize,
+    pub retry_backoff_ms: f64,
+    pub events: Vec<RecoveryEvent<T>>,
+    pub value: R,
+}
+
+/// An LR-CG solve's result and the backend stats of the run.
+pub(crate) type Solved = (LrCgResult, BackendStats);
+
+impl<T> Landed<T, Solved> {
+    /// The public outcome of an LR-CG ladder that shared `ckpt` across
+    /// its attempts.
+    pub(crate) fn into_outcome(self, ckpt: Option<&CheckpointHandle>) -> LadderOutcome<T> {
+        let (result, stats) = self.value;
+        LadderOutcome {
+            tier: self.tier,
+            attempts: self.attempts,
+            retry_backoff_ms: self.retry_backoff_ms,
+            events: self.events,
+            result,
+            stats,
+            resumed_at: ckpt.and_then(|h| h.last_resume()),
+        }
+    }
+}
+
+/// Record a `resume` instant when the next attempt, on `to`, will pick
+/// up a snapshot, so the trace shows where the resumed run restarts.
+fn trace_resume<T: RecoveryTier>(
+    trace: &LadderTrace<'_, T>,
+    ckpt: Option<&CheckpointHandle>,
+    to: T,
+) {
+    if !fusedml_trace::is_enabled() {
+        return;
+    }
+    if let Some(snap) = ckpt.and_then(|h| h.latest()) {
+        trace.instant("resume", || {
+            vec![
+                ("tier", to.name().into()),
+                ("iteration", snap.iteration().into()),
+                ("solver", snap.solver().into()),
+            ]
+        });
+    }
+}
+
+/// The one recovery-ladder driver. Runs `attempt` on `start`; a failure
+/// the tier calls retryable is retried on the same tier, up to
+/// `policy.max_retries` times, after `policy.backoff_for` backoff;
+/// anything else degrades to the next tier, or aborts when the ladder is
+/// exhausted or degradation is off. Every decision is recorded as a
+/// [`RecoveryEvent`] and a trace instant (`retry`, `degrade`, `abort`,
+/// plus `resume` whenever `ckpt` holds a snapshot for the next attempt).
+pub(crate) fn run_ladder<T: RecoveryTier, R>(
+    start: T,
+    policy: &RecoveryPolicy,
+    ckpt: Option<&CheckpointHandle>,
+    trace: &LadderTrace<'_, T>,
+    mut attempt: impl FnMut(Attempt<T>) -> Result<R, SolverError>,
+) -> Result<Landed<T, R>, LadderError<T>> {
+    let mut events = Vec::new();
+    let mut tier_errors = Vec::new();
+    let mut attempts = 0usize;
+    let mut retry_backoff_ms = 0.0f64;
+    let mut tier = start;
+    let mut tier_attempt = 0usize;
+    let mut backoff_ms = 0.0f64;
+
+    loop {
+        tier_attempt += 1;
+        attempts += 1;
+        let error = match attempt(Attempt {
+            tier,
+            number: attempts,
+            backoff_ms,
+        }) {
+            Ok(value) => {
+                return Ok(Landed {
+                    tier,
+                    attempts,
+                    retry_backoff_ms,
+                    events,
+                    value,
+                })
+            }
+            Err(e) => e,
+        };
+        let event = |action, backoff_ms| RecoveryEvent {
+            tier,
+            attempt: tier_attempt,
+            error_kind: error.kind().to_string(),
+            detail: error.to_string(),
+            action,
+            backoff_ms,
+        };
+
+        if tier.retryable(&error) && tier_attempt <= policy.max_retries {
+            backoff_ms = policy.backoff_for(tier_attempt);
+            retry_backoff_ms += backoff_ms;
+            trace.instant("retry", || {
+                vec![
+                    ("tier", tier.name().into()),
+                    ("attempt", tier_attempt.into()),
+                    ("error", error.kind().into()),
+                    ("backoff_ms", backoff_ms.into()),
+                ]
+            });
+            events.push(event(RecoveryAction::Retry, backoff_ms));
+            trace_resume(trace, ckpt, tier);
+            continue;
+        }
+        backoff_ms = 0.0;
+
+        match tier.degrade().filter(|_| policy.allow_degradation) {
+            Some(next) => {
+                if let Some(hook) = trace.before_degrade.filter(|_| fusedml_trace::is_enabled()) {
+                    hook(next, &error);
+                }
+                trace.instant("degrade", || {
+                    vec![
+                        ("from", tier.name().into()),
+                        ("to", next.name().into()),
+                        ("error", error.kind().into()),
+                    ]
+                });
+                events.push(event(RecoveryAction::Degrade, 0.0));
+                tier_errors.push((tier, error));
+                trace_resume(trace, ckpt, next);
+                tier = next;
+                tier_attempt = 0;
+            }
+            None => {
+                trace.instant("abort", || {
+                    vec![("tier", tier.name().into()), ("error", error.kind().into())]
+                });
+                events.push(event(RecoveryAction::Abort, 0.0));
+                tier_errors.push((tier, error));
+                return Err(LadderError {
+                    tier_errors,
+                    attempts,
+                    events,
+                });
+            }
+        }
+    }
+}
+
+/// Run LR-CG on `b` and return the result with the backend's stats: the
+/// one solve every LR-CG tier of the session and shard ladders shares.
+pub(crate) fn solve_lr_cg<B: Backend>(
+    b: &mut B,
+    labels: &[f64],
+    opts: LrCgOptions,
+    ckpt: Option<&CheckpointHandle>,
+) -> Result<Solved, SolverError> {
+    let result = try_lr_cg_ckpt(b, labels, opts, ckpt)?;
+    Ok((result, b.stats()))
+}
+
+/// One LR-CG attempt on a fresh backend of `tier` over `data` (the
+/// device tiers upload the matrix to `gpu` first).
 #[allow(clippy::too_many_arguments)]
-fn attempt_tier(
+pub(crate) fn solve_on_tier(
     gpu: &Gpu,
     tier: BackendTier,
     data: &DataSet,
     labels: &[f64],
     opts: LrCgOptions,
     transpose_policy: TransposePolicy,
-    cpu_fused_threads: usize,
+    policy: &RecoveryPolicy,
     ckpt: Option<&CheckpointHandle>,
-) -> Result<(LrCgResult, BackendStats), SolverError> {
-    let cpu_backend = |b: CpuBackend| {
-        if cpu_fused_threads > 0 {
-            b.with_fused_execution(cpu_fused_threads)
-        } else {
-            b
+) -> Result<Solved, SolverError> {
+    match tier {
+        BackendTier::Fused => {
+            let mut b = FusedBackend::try_from_matrix(gpu, data.try_upload(gpu)?)?;
+            solve_lr_cg(&mut b, labels, opts, ckpt)
         }
-    };
-    match (tier, data) {
-        (BackendTier::Fused, DataSet::Sparse(x)) => {
-            let mut b = FusedBackend::try_new_sparse(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
+        BackendTier::Baseline => {
+            let mut b = BaselineBackend::try_from_matrix(gpu, data.try_upload(gpu)?)?
+                .with_transpose_policy(transpose_policy);
+            solve_lr_cg(&mut b, labels, opts, ckpt)
         }
-        (BackendTier::Fused, DataSet::Dense(x)) => {
-            let mut b = FusedBackend::try_new_dense(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Baseline, DataSet::Sparse(x)) => {
-            let mut b =
-                BaselineBackend::try_new_sparse(gpu, x)?.with_transpose_policy(transpose_policy);
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Baseline, DataSet::Dense(x)) => {
-            let mut b = BaselineBackend::try_new_dense(gpu, x)?;
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Cpu, DataSet::Sparse(x)) => {
-            let mut b = cpu_backend(CpuBackend::new_sparse(x.clone()));
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
-        (BackendTier::Cpu, DataSet::Dense(x)) => {
-            let mut b = cpu_backend(CpuBackend::new_dense(x.clone()));
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok((r, b.stats()))
-        }
+        BackendTier::Cpu => solve_lr_cg(
+            &mut policy.cpu_tier(data.host_backend()),
+            labels,
+            opts,
+            ckpt,
+        ),
     }
 }
 
@@ -281,9 +514,10 @@ fn attempt_tier(
 /// at that cadence and every retry or degraded attempt resumes from the
 /// last snapshot instead of iteration 0 — the snapshot lives on the
 /// host, so it survives the switch to a fresh backend on a lower tier.
-/// The CPU tier cannot fault, so with degradation enabled this always
-/// succeeds; `Err` is only possible with `allow_degradation: false`, and
-/// carries the last error seen on every tier attempted.
+/// `Err` means every usable tier failed — with `allow_degradation:
+/// false`, or when even the CPU tier (which never faults) breaks down
+/// numerically, e.g. on NaN labels — and carries the last error seen on
+/// every tier attempted.
 pub fn run_lr_cg_with_recovery(
     gpu: &Gpu,
     data: &DataSet,
@@ -292,148 +526,27 @@ pub fn run_lr_cg_with_recovery(
     transpose_policy: TransposePolicy,
     policy: &RecoveryPolicy,
 ) -> Result<LadderOutcome, LadderError> {
-    let mut events = Vec::new();
-    let mut tier_errors: Vec<(BackendTier, SolverError)> = Vec::new();
-    let mut attempts = 0usize;
-    let mut retry_backoff_ms = 0.0f64;
-    let mut tier = BackendTier::Fused;
-    let ckpt =
-        (policy.checkpoint_every > 0).then(|| CheckpointHandle::new(policy.checkpoint_every));
-
-    // Emitted before a retry/degraded attempt that will pick up a
-    // snapshot, so the trace shows where the resumed run restarts.
-    let trace_resume = |h: &CheckpointHandle, to: BackendTier| {
-        if let Some(snap) = h.latest() {
-            if fusedml_trace::is_enabled() {
-                fusedml_trace::instant(
-                    "recovery",
-                    "resume",
-                    "host",
-                    &[
-                        ("tier", to.name().into()),
-                        ("iteration", snap.iteration().into()),
-                        ("solver", snap.solver().into()),
-                    ],
-                );
-            }
-        }
-    };
-
-    loop {
-        let mut tier_attempt = 0usize;
-        let error = loop {
-            tier_attempt += 1;
-            attempts += 1;
-            match attempt_tier(
+    let ckpt = policy.checkpoint_handle();
+    let ckpt = ckpt.as_ref();
+    run_ladder(
+        BackendTier::Fused,
+        policy,
+        ckpt,
+        &LadderTrace::host(),
+        |a| {
+            solve_on_tier(
                 gpu,
-                tier,
+                a.tier,
                 data,
                 labels,
                 opts,
                 transpose_policy,
-                policy.cpu_fused_threads,
-                ckpt.as_ref(),
-            ) {
-                Ok((result, stats)) => {
-                    return Ok(LadderOutcome {
-                        tier,
-                        attempts,
-                        retry_backoff_ms,
-                        events,
-                        result,
-                        stats,
-                        resumed_at: ckpt.as_ref().and_then(|h| h.last_resume()),
-                    })
-                }
-                Err(e) => {
-                    if e.is_transient() && tier_attempt <= policy.max_retries {
-                        let backoff = policy.backoff_for(tier_attempt);
-                        retry_backoff_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "recovery",
-                                "retry",
-                                "host",
-                                &[
-                                    ("tier", tier.name().into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        if let Some(h) = ckpt.as_ref() {
-                            trace_resume(h, tier);
-                        }
-                        continue;
-                    }
-                    break e;
-                }
-            }
-        };
-
-        match tier.degrade() {
-            Some(next) if policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "degrade",
-                        "host",
-                        &[
-                            ("from", tier.name().into()),
-                            ("to", next.name().into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                if let Some(h) = ckpt.as_ref() {
-                    trace_resume(h, next);
-                }
-                tier = next;
-            }
-            _ => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "abort",
-                        "host",
-                        &[("tier", tier.name().into()), ("error", error.kind().into())],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                return Err(LadderError {
-                    tier_errors,
-                    attempts,
-                    events,
-                });
-            }
-        }
-    }
+                policy,
+                ckpt,
+            )
+        },
+    )
+    .map(|landed| landed.into_outcome(ckpt))
 }
 
 #[cfg(test)]

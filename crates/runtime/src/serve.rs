@@ -22,10 +22,10 @@
 //! faulted attempt's overrun (failed partial attempts, retry backoff,
 //! resumed work) accrues on that tenant's *recovery lane*: it extends
 //! only the faulted request's completion time and latency, never the
-//! slot reservations other tenants schedule against. Recovery reuses the
-//! PR-1/6 ladder machinery ([`RecoveryPolicy`], [`RecoveryEvent`],
+//! slot reservations other tenants schedule against. Recovery runs on
+//! the crate's one ladder driver ([`RecoveryPolicy`], [`RecoveryEvent`],
 //! [`LadderError`]) over the serving tier order
-//! `Fused -> Streamed -> Cpu`, with one serving-specific twist: a
+//! `Fused -> Streamed -> Cpu`, with one serving-specific retry rule: a
 //! `device-lost` fault — permanent for a single-device session — is
 //! retried at the same tier here, because the pool hands the tenant a
 //! fresh replacement device (a new `Gpu` with an attempt-salted fault
@@ -47,7 +47,9 @@
 //! footprint fits is admitted directly on the streamed tier — quota
 //! pressure degrades, it does not reject.
 
-use crate::recovery::{LadderError, RecoveryAction, RecoveryEvent, RecoveryPolicy, RecoveryTier};
+use crate::recovery::{
+    run_ladder, LadderError, LadderTrace, RecoveryEvent, RecoveryPolicy, RecoveryTier,
+};
 use crate::session::FaultCountsReport;
 use crate::streamed_backend::StreamedBackend;
 use crate::streaming::{StreamConfig, StreamError};
@@ -85,9 +87,16 @@ pub enum ServeTier {
     Cpu,
 }
 
-impl ServeTier {
-    /// The next, more conservative tier; `None` from [`ServeTier::Cpu`].
-    pub fn degrade(self) -> Option<ServeTier> {
+impl RecoveryTier for ServeTier {
+    fn name(&self) -> &'static str {
+        match self {
+            ServeTier::Fused => "fused",
+            ServeTier::Streamed => "streamed",
+            ServeTier::Cpu => "cpu",
+        }
+    }
+
+    fn degrade(&self) -> Option<ServeTier> {
         match self {
             ServeTier::Fused => Some(ServeTier::Streamed),
             ServeTier::Streamed => Some(ServeTier::Cpu),
@@ -95,19 +104,10 @@ impl ServeTier {
         }
     }
 
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeTier::Fused => "fused",
-            ServeTier::Streamed => "streamed",
-            ServeTier::Cpu => "cpu",
-        }
-    }
-}
-
-impl RecoveryTier for ServeTier {
-    fn name(&self) -> &'static str {
-        ServeTier::name(*self)
+    /// Serving twist: device loss is retried at the same tier too — the
+    /// pool supplies a replacement device.
+    fn retryable(&self, e: &SolverError) -> bool {
+        e.is_transient() || e.kind() == "device-lost"
     }
 }
 
@@ -600,8 +600,7 @@ pub fn clean_run(
     cfg: &ServeConfig,
 ) -> Result<CleanRun, ServeError> {
     let data = ClassData::generate(class);
-    let ckpt = (cfg.policy.checkpoint_every > 0)
-        .then(|| CheckpointHandle::new(cfg.policy.checkpoint_every));
+    let ckpt = cfg.policy.checkpoint_handle();
     let gpu =
         (tier != ServeTier::Cpu).then(|| Gpu::new(cfg.device.clone()).with_integrity_checks(true));
     let (res, ms) = run_attempt(gpu.as_ref(), tier, class, &data, cfg, ckpt.as_ref());
@@ -745,12 +744,7 @@ fn run_attempt(
 ) -> (Result<ClassResult, SolverError>, f64) {
     // The CPU tier: host data, host execution, no transfers or readbacks.
     if tier == ServeTier::Cpu {
-        let mut b = if cfg.policy.cpu_fused_threads > 0 {
-            CpuBackend::new_sparse(data.x.clone())
-                .with_fused_execution(cfg.policy.cpu_fused_threads)
-        } else {
-            CpuBackend::new_sparse(data.x.clone())
-        };
+        let mut b = cfg.policy.cpu_tier(CpuBackend::new_sparse(data.x.clone()));
         let res = run_class(&mut b, class, data, ckpt);
         return (res, b.stats().sim_ms);
     }
@@ -862,7 +856,7 @@ struct LadderRun {
 const ATTEMPT_SALT_STRIDE: usize = 97;
 
 #[allow(clippy::too_many_arguments)]
-fn run_ladder(
+fn run_request_ladder(
     pool: &DevicePool,
     tenant: &TenantSpec,
     seq: usize,
@@ -872,128 +866,47 @@ fn run_ladder(
     cfg: &ServeConfig,
     ckpt: Option<&CheckpointHandle>,
 ) -> Result<LadderRun, LadderError<ServeTier>> {
-    let mut events: Vec<RecoveryEvent<ServeTier>> = Vec::new();
-    let mut tier_errors: Vec<(ServeTier, SolverError)> = Vec::new();
-    let mut attempts = 0usize;
     let mut total_ms = 0.0f64;
     let mut faults = FaultCountsReport::default();
-    let mut tier = start_tier;
-
-    loop {
-        let mut tier_attempt = 0usize;
-        let error = loop {
-            tier_attempt += 1;
-            attempts += 1;
-            // Fresh device per attempt, attached to the shared pool: a
-            // `device-lost` attempt is replaced, not resurrected. The
-            // attempt-salted profile gives the replacement its own
-            // deterministic fault stream.
-            let gpu = (tier != ServeTier::Cpu).then(|| {
-                let mut g = Gpu::new(cfg.device.clone())
-                    .with_shared_pool(pool)
-                    .with_integrity_checks(true);
-                if let Some(p) = &tenant.faults {
-                    g = g
-                        .with_fault_profile(p.for_device(seq * ATTEMPT_SALT_STRIDE + attempts - 1));
-                }
-                g
-            });
-            let (res, ms) = run_attempt(gpu.as_ref(), tier, class, data, cfg, ckpt);
-            total_ms += ms;
-            if let Some(g) = &gpu {
-                faults.merge_counts(&g.faults().counts());
+    let lead = [("class", class.name().into())];
+    let trace = LadderTrace {
+        category: "serve",
+        track: &tenant.name,
+        lead: &lead,
+        before_degrade: None,
+    };
+    let landed = run_ladder(start_tier, &cfg.policy, ckpt, &trace, |a| {
+        // Fresh device per attempt, attached to the shared pool: a
+        // `device-lost` attempt is replaced, not resurrected. The
+        // attempt-salted profile gives the replacement its own
+        // deterministic fault stream.
+        let gpu = (a.tier != ServeTier::Cpu).then(|| {
+            let mut g = Gpu::new(cfg.device.clone())
+                .with_shared_pool(pool)
+                .with_integrity_checks(true);
+            if let Some(p) = &tenant.faults {
+                g = g.with_fault_profile(p.for_device(seq * ATTEMPT_SALT_STRIDE + a.number - 1));
             }
-            match res {
-                Ok(result) => {
-                    return Ok(LadderRun {
-                        result,
-                        tier,
-                        attempts,
-                        events,
-                        total_ms,
-                        faults,
-                    })
-                }
-                Err(e) => {
-                    // Serving twist: device loss is retried at the same
-                    // tier — the pool supplies a replacement device.
-                    let retryable = e.is_transient() || e.kind() == "device-lost";
-                    if retryable && tier_attempt <= cfg.policy.max_retries {
-                        let backoff = cfg.policy.backoff_for(tier_attempt);
-                        total_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "serve",
-                                "retry",
-                                &tenant.name,
-                                &[
-                                    ("class", class.name().into()),
-                                    ("tier", ServeTier::name(tier).into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        continue;
-                    }
-                    break e;
-                }
-            }
-        };
-
-        match tier.degrade() {
-            Some(next) if cfg.policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "serve",
-                        "degrade",
-                        &tenant.name,
-                        &[
-                            ("class", class.name().into()),
-                            ("from", ServeTier::name(tier).into()),
-                            ("to", ServeTier::name(next).into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                tier = next;
-            }
-            _ => {
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                return Err(LadderError {
-                    tier_errors,
-                    attempts,
-                    events,
-                });
-            }
+            g
+        });
+        // The recovery lane adds each attempt's time after the backoff
+        // that preceded it: attempt, backoff, attempt, ... in that order.
+        total_ms += a.backoff_ms;
+        let (res, ms) = run_attempt(gpu.as_ref(), a.tier, class, data, cfg, ckpt);
+        total_ms += ms;
+        if let Some(g) = &gpu {
+            faults.merge_counts(&g.faults().counts());
         }
-    }
+        res
+    })?;
+    Ok(LadderRun {
+        result: landed.value,
+        tier: landed.tier,
+        attempts: landed.attempts,
+        events: landed.events,
+        total_ms,
+        faults,
+    })
 }
 
 /// Run a multi-tenant serve: admission, deadline shedding, slot
@@ -1202,9 +1115,8 @@ pub fn serve(
 
         // Execute: the actual run, faults and all. Overrun beyond the
         // estimate lands on this tenant's recovery lane only.
-        let ckpt = (cfg.policy.checkpoint_every > 0)
-            .then(|| CheckpointHandle::new(cfg.policy.checkpoint_every));
-        let run = run_ladder(
+        let ckpt = cfg.policy.checkpoint_handle();
+        let run = run_request_ladder(
             &pool,
             tenant,
             seq,
@@ -1228,7 +1140,7 @@ pub fn serve(
                         &tenant.name,
                         lr.total_ms,
                         &[
-                            ("tier", ServeTier::name(lr.tier).into()),
+                            ("tier", lr.tier.name().into()),
                             ("attempts", lr.attempts.into()),
                             ("start_ms", start.into()),
                             ("recovered", recovered.into()),
@@ -1260,8 +1172,6 @@ pub fn serve(
             }
             Err(ladder) => {
                 let events = ladder.events.clone();
-                let attempts_time: f64 = 0.0; // ladder time folded below
-                let _ = attempts_time;
                 let completion = start; // no successful work to charge
                 RequestOutcome {
                     tenant: req.tenant,

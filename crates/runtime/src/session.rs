@@ -4,16 +4,18 @@
 //! runtime with JNI, format conversion and per-instruction dispatch
 //! overheads).
 
-use crate::memman::MemoryManager;
+use crate::memman::{MemError, MemoryManager};
 use crate::recovery::{
-    run_lr_cg_with_recovery, BackendTier, LadderError, RecoveryEvent, RecoveryPolicy,
+    run_lr_cg_with_recovery, solve_on_tier, BackendTier, LadderError, RecoveryEvent,
+    RecoveryPolicy, RecoveryTier,
 };
 use crate::shard_recovery::{run_lr_cg_sharded_with_recovery, ShardTier};
 use crate::transfer::TransferModel;
-use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceGroup, Gpu};
+use fusedml_blas::{GpuCsr, GpuDense};
+use fusedml_gpu_sim::{AggregationBreakdown, Counters, DeviceError, DeviceGroup, Gpu};
 use fusedml_matrix::{CsrMatrix, DenseMatrix};
 use fusedml_ml::ops::TransposePolicy;
-use fusedml_ml::{lr_cg, Backend, BaselineBackend, CpuBackend, FusedBackend, LrCgOptions};
+use fusedml_ml::{lr_cg, Backend, CpuBackend, DeviceMatrix, LrCgOptions, SolverError};
 use serde::{Deserialize, Serialize};
 
 /// The data set a session runs over.
@@ -50,6 +52,53 @@ impl DataSet {
     pub fn needs_conversion(&self) -> bool {
         matches!(self, DataSet::Sparse(_))
     }
+
+    /// Upload the matrix to `gpu` as `"X"`, reporting device faults.
+    pub(crate) fn try_upload(&self, gpu: &Gpu) -> Result<DeviceMatrix, DeviceError> {
+        Ok(match self {
+            DataSet::Sparse(x) => DeviceMatrix::Sparse(GpuCsr::try_upload(gpu, "X", x)?),
+            DataSet::Dense(x) => DeviceMatrix::Dense(GpuDense::try_upload(gpu, "X", x)?),
+        })
+    }
+
+    /// A host backend over a copy of the matrix (the unfused reference
+    /// path).
+    pub(crate) fn host_backend(&self) -> CpuBackend {
+        match self {
+            DataSet::Sparse(x) => CpuBackend::new_sparse(x.clone()),
+            DataSet::Dense(x) => CpuBackend::new_dense(x.clone()),
+        }
+    }
+}
+
+/// Charge the one-time H2D upload of the matrix (`matrix_bytes`,
+/// converted on the way in when `convert`) and the labels through a
+/// memory manager of `capacity_bytes`, pinning the matrix. Errors when
+/// either does not fit.
+fn charge_upload(
+    capacity_bytes: usize,
+    matrix_bytes: u64,
+    convert: bool,
+    labels: &[f64],
+    transfer: &TransferModel,
+) -> Result<f64, MemError> {
+    let _upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
+    let mm = MemoryManager::new(capacity_bytes as u64, transfer.clone());
+    mm.register("X", matrix_bytes, convert);
+    mm.register("labels", (labels.len() * 8) as u64, false);
+    let mut transfer_ms = mm.ensure_on_device("X")?;
+    transfer_ms += mm.ensure_on_device("labels")?;
+    mm.pin("X");
+    Ok(transfer_ms)
+}
+
+/// The fault-tolerant sessions' answer to an input that does not fit the
+/// device: a ladder that aborted on `start` before any attempt.
+fn exceeds_device<T: Copy>(start: T, e: MemError) -> LadderError<T> {
+    LadderError::unstarted(
+        start,
+        SolverError::breakdown("session", 0, format!("matrix exceeds device: {e}")),
+    )
 }
 
 /// Which GPU pipeline executes the pattern.
@@ -156,18 +205,14 @@ pub fn run_device(
     session_span.arg("cols", data.cols());
     session_span.arg("iterations", cfg.iterations);
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(gpu.spec().global_mem_bytes as u64, cfg.transfer.clone());
-    mm.register("X", data.matrix_bytes(), data.needs_conversion());
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
+    let transfer_ms = charge_upload(
+        gpu.spec().global_mem_bytes,
+        data.matrix_bytes(),
+        data.needs_conversion(),
+        labels,
+        &cfg.transfer,
+    )
+    .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
 
     let opts = LrCgOptions {
         eps: 0.001,
@@ -176,33 +221,24 @@ pub fn run_device(
     };
 
     let solve_span = fusedml_trace::wall_span("session", "phase.solve", "host");
-    let (kernel_ms, launches, iterations, counters) = match (cfg.engine, data) {
-        (EngineKind::Fused, DataSet::Sparse(x)) => {
-            let mut b = FusedBackend::new_sparse(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
-        }
-        (EngineKind::Fused, DataSet::Dense(x)) => {
-            let mut b = FusedBackend::new_dense(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
-        }
-        (EngineKind::Baseline, DataSet::Sparse(x)) => {
-            let mut b =
-                BaselineBackend::new_sparse(gpu, x).with_transpose_policy(cfg.transpose_policy);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
-        }
-        (EngineKind::Baseline, DataSet::Dense(x)) => {
-            let mut b = BaselineBackend::new_dense(gpu, x);
-            let r = lr_cg(&mut b, labels, opts);
-            let s = b.stats();
-            (s.sim_ms, s.launches, r.iterations, s.counters)
-        }
+    let tier = match cfg.engine {
+        EngineKind::Fused => BackendTier::Fused,
+        EngineKind::Baseline => BackendTier::Baseline,
     };
+    let policy = RecoveryPolicy::default();
+    let (r, s) = solve_on_tier(
+        gpu,
+        tier,
+        data,
+        labels,
+        opts,
+        cfg.transpose_policy,
+        &policy,
+        None,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    let (kernel_ms, launches, iterations, counters) =
+        (s.sim_ms, s.launches, r.iterations, s.counters);
     drop(solve_span);
 
     // Listing 1 reads back two scalars per iteration (alpha's dot, the
@@ -294,9 +330,11 @@ pub struct FaultTolerantReport {
 /// `Fused -> Baseline -> Cpu` when a tier cannot complete. `cfg.engine`
 /// is ignored — the ladder always starts at [`BackendTier::Fused`].
 ///
-/// With `policy.allow_degradation` set (the default) this always
-/// succeeds, because the CPU tier cannot fault; `Err` is only possible
-/// when degradation is disabled.
+/// `Err` when no tier completes the run (see [`run_lr_cg_with_recovery`]),
+/// and when the matrix and labels do not fit the device at all: then the
+/// ladder aborts before its first attempt, with a `numerical-breakdown`
+/// ("matrix exceeds device") on the fused tier, 0 attempts and one
+/// `Abort` event.
 pub fn run_device_fault_tolerant(
     gpu: &Gpu,
     data: &DataSet,
@@ -309,18 +347,14 @@ pub fn run_device_fault_tolerant(
     session_span.arg("cols", data.cols());
     session_span.arg("iterations", cfg.iterations);
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(gpu.spec().global_mem_bytes as u64, cfg.transfer.clone());
-    mm.register("X", data.matrix_bytes(), data.needs_conversion());
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
+    let transfer_ms = charge_upload(
+        gpu.spec().global_mem_bytes,
+        data.matrix_bytes(),
+        data.needs_conversion(),
+        labels,
+        &cfg.transfer,
+    )
+    .map_err(|e| exceeds_device(BackendTier::Fused, e))?;
 
     let opts = LrCgOptions {
         eps: 0.001,
@@ -468,6 +502,11 @@ pub struct ShardedSessionReport {
 /// matrix is charged over PCIe once (the shards upload concurrently from
 /// the same host copy), and scalar readbacks come from the root device
 /// like the single-device session.
+///
+/// `Err` when no tier completes the run, and when the matrix and labels
+/// do not fit one device of the group: then the ladder aborts before its
+/// first attempt, like [`run_device_fault_tolerant`]'s, on the
+/// shard-retry tier.
 pub fn run_sharded_fault_tolerant(
     group: &DeviceGroup,
     x: &CsrMatrix,
@@ -484,21 +523,14 @@ pub fn run_sharded_fault_tolerant(
     session_span.arg("devices", group.len());
     session_span.arg("interconnect", group.interconnect().name.clone());
 
-    let upload_span = fusedml_trace::wall_span("session", "phase.upload", "host");
-    let mm = MemoryManager::new(
-        group.device(0).spec().global_mem_bytes as u64,
-        cfg.transfer.clone(),
-    );
-    mm.register("X", x.size_bytes(), true);
-    mm.register("labels", (labels.len() * 8) as u64, false);
-    let mut transfer_ms = mm
-        .ensure_on_device("X")
-        .unwrap_or_else(|e| panic!("matrix must fit the device: {e}"));
-    transfer_ms += mm
-        .ensure_on_device("labels")
-        .unwrap_or_else(|e| panic!("labels must fit the device: {e}"));
-    mm.pin("X");
-    drop(upload_span);
+    let transfer_ms = charge_upload(
+        group.device(0).spec().global_mem_bytes,
+        x.size_bytes(),
+        true,
+        labels,
+        &cfg.transfer,
+    )
+    .map_err(|e| exceeds_device(ShardTier::ShardRetry, e))?;
 
     let opts = LrCgOptions {
         eps: 0.001,
@@ -637,18 +669,9 @@ pub fn run_cpu(data: &DataSet, labels: &[f64], iterations: usize) -> f64 {
         tolerance: 0.0,
         max_iterations: iterations,
     };
-    match data {
-        DataSet::Sparse(x) => {
-            let mut b = CpuBackend::new_sparse(x.clone());
-            lr_cg(&mut b, labels, opts);
-            b.stats().sim_ms
-        }
-        DataSet::Dense(x) => {
-            let mut b = CpuBackend::new_dense(x.clone());
-            lr_cg(&mut b, labels, opts);
-            b.stats().sim_ms
-        }
-    }
+    let mut b = data.host_backend();
+    lr_cg(&mut b, labels, opts);
+    b.stats().sim_ms
 }
 
 #[cfg(test)]

@@ -12,19 +12,19 @@
 //!   keeps the numerics bit-identical to the multi-device run.
 //! * **Cpu** — host execution, the tier of last resort; never faults.
 //!
-//! Every decision is a [`RecoveryEvent<ShardTier>`] and an exhausted
-//! ladder returns [`LadderError<ShardTier>`] carrying the last error seen
-//! on every tier — the same trail format as the single-device ladder.
+//! The ladder runs on the one recovery driver in [`crate::recovery`]:
+//! every decision is a
+//! [`RecoveryEvent<ShardTier>`](crate::recovery::RecoveryEvent) and an
+//! exhausted ladder returns [`LadderError<ShardTier>`] carrying the last
+//! error seen on every tier — the same trail format as the single-device
+//! ladder.
 
 use crate::recovery::{
-    LadderError, LadderOutcome, RecoveryAction, RecoveryEvent, RecoveryPolicy, RecoveryTier,
+    run_ladder, solve_lr_cg, LadderError, LadderOutcome, LadderTrace, RecoveryPolicy, RecoveryTier,
 };
 use fusedml_gpu_sim::DeviceGroup;
 use fusedml_matrix::CsrMatrix;
-use fusedml_ml::{
-    try_lr_cg_ckpt, Backend, BackendStats, CheckpointHandle, CpuBackend, LrCgOptions, LrCgResult,
-    ShardedBackend, SolverError,
-};
+use fusedml_ml::{CpuBackend, LrCgOptions, ShardedBackend, SolverError};
 use serde::{Deserialize, Serialize};
 
 /// Rung of the multi-device degradation ladder, fastest first.
@@ -42,19 +42,8 @@ pub enum ShardTier {
     Cpu,
 }
 
-impl ShardTier {
-    /// The next, more conservative tier; `None` from [`ShardTier::Cpu`].
-    pub fn degrade(self) -> Option<ShardTier> {
-        match self {
-            ShardTier::ShardRetry => Some(ShardTier::Reshard),
-            ShardTier::Reshard => Some(ShardTier::SingleDevice),
-            ShardTier::SingleDevice => Some(ShardTier::Cpu),
-            ShardTier::Cpu => None,
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
+impl RecoveryTier for ShardTier {
+    fn name(&self) -> &'static str {
         match self {
             ShardTier::ShardRetry => "shard-retry",
             ShardTier::Reshard => "reshard",
@@ -62,11 +51,14 @@ impl ShardTier {
             ShardTier::Cpu => "cpu",
         }
     }
-}
 
-impl RecoveryTier for ShardTier {
-    fn name(&self) -> &'static str {
-        ShardTier::name(*self)
+    fn degrade(&self) -> Option<ShardTier> {
+        match self {
+            ShardTier::ShardRetry => Some(ShardTier::Reshard),
+            ShardTier::Reshard => Some(ShardTier::SingleDevice),
+            ShardTier::SingleDevice => Some(ShardTier::Cpu),
+            ShardTier::Cpu => None,
+        }
     }
 }
 
@@ -84,76 +76,6 @@ pub struct ShardedOutcome {
     pub stragglers_detected: usize,
     /// Speculative re-executions launched, summed likewise.
     pub speculative_reexecs: usize,
-}
-
-struct AttemptOutput {
-    result: LrCgResult,
-    stats: BackendStats,
-    devices_used: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attempt_tier(
-    group: &DeviceGroup,
-    tier: ShardTier,
-    x: &CsrMatrix,
-    labels: &[f64],
-    opts: LrCgOptions,
-    straggler_factor: f64,
-    ckpt: Option<&CheckpointHandle>,
-    stragglers: &mut usize,
-    reexecs: &mut usize,
-) -> Result<AttemptOutput, SolverError> {
-    match tier {
-        ShardTier::ShardRetry | ShardTier::Reshard => {
-            let mut b = ShardedBackend::try_new_sparse(group, x)?
-                .with_straggler_policy(straggler_factor, true);
-            let devices_used = b.shard_count();
-            let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
-            *stragglers += b.stragglers_detected();
-            *reexecs += b.speculative_reexecs();
-            let r = res?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used,
-            })
-        }
-        ShardTier::SingleDevice => {
-            let pinned = match group.alive_ordinals().first() {
-                Some(&o) => [o],
-                None => {
-                    // No survivors at all: fail fast with a typed loss so
-                    // the ladder falls through to the CPU tier.
-                    return Err(fusedml_gpu_sim::DeviceError::DeviceLost {
-                        device: group.len().saturating_sub(1),
-                        fault_index: 0,
-                    }
-                    .into());
-                }
-            };
-            let mut b = ShardedBackend::try_new_sparse_on(group, x, &pinned)?
-                .with_straggler_policy(straggler_factor, true);
-            let res = try_lr_cg_ckpt(&mut b, labels, opts, ckpt);
-            *stragglers += b.stragglers_detected();
-            *reexecs += b.speculative_reexecs();
-            let r = res?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used: 1,
-            })
-        }
-        ShardTier::Cpu => {
-            let mut b = CpuBackend::new_sparse(x.clone());
-            let r = try_lr_cg_ckpt(&mut b, labels, opts, ckpt)?;
-            Ok(AttemptOutput {
-                result: r,
-                stats: b.stats(),
-                devices_used: 0,
-            })
-        }
-    }
 }
 
 /// Run LR-CG sharded across `group` under the shard recovery ladder.
@@ -175,168 +97,70 @@ pub fn run_lr_cg_sharded_with_recovery(
     straggler_factor: f64,
     policy: &RecoveryPolicy,
 ) -> Result<ShardedOutcome, LadderError<ShardTier>> {
-    let mut events = Vec::new();
-    let mut tier_errors: Vec<(ShardTier, SolverError)> = Vec::new();
-    let mut attempts = 0usize;
-    let mut retry_backoff_ms = 0.0f64;
+    let ckpt = policy.checkpoint_handle();
+    let ckpt = ckpt.as_ref();
+    // Stragglers and speculative re-executions count over every device
+    // attempt, failed ones included.
     let mut stragglers = 0usize;
     let mut reexecs = 0usize;
-    let mut tier = ShardTier::ShardRetry;
-    let ckpt =
-        (policy.checkpoint_every > 0).then(|| CheckpointHandle::new(policy.checkpoint_every));
+    let mut devices_used = 0usize;
 
-    let trace_resume = |h: &CheckpointHandle, to: ShardTier| {
-        if let Some(snap) = h.latest() {
-            if fusedml_trace::is_enabled() {
-                fusedml_trace::instant(
-                    "recovery",
-                    "resume",
-                    "host",
-                    &[
-                        ("tier", to.name().into()),
-                        ("iteration", snap.iteration().into()),
-                        ("solver", snap.solver().into()),
-                    ],
-                );
-            }
+    // The headline instant of this ladder: the shard layout is about to
+    // change.
+    let reshard = |next: ShardTier, error: &SolverError| {
+        if next == ShardTier::Reshard {
+            fusedml_trace::instant(
+                "recovery",
+                "reshard",
+                "host",
+                &[
+                    ("survivors", group.alive_count().into()),
+                    ("of", group.len().into()),
+                    ("error", error.kind().into()),
+                ],
+            );
         }
     };
+    let trace = LadderTrace {
+        before_degrade: Some(&reshard),
+        ..LadderTrace::host()
+    };
 
-    loop {
-        let mut tier_attempt = 0usize;
-        let error = loop {
-            tier_attempt += 1;
-            attempts += 1;
-            match attempt_tier(
-                group,
-                tier,
-                x,
-                labels,
-                opts,
-                straggler_factor,
-                ckpt.as_ref(),
-                &mut stragglers,
-                &mut reexecs,
-            ) {
-                Ok(out) => {
-                    return Ok(ShardedOutcome {
-                        ladder: LadderOutcome {
-                            tier,
-                            attempts,
-                            retry_backoff_ms,
-                            events,
-                            result: out.result,
-                            stats: out.stats,
-                            resumed_at: ckpt.as_ref().and_then(|h| h.last_resume()),
-                        },
-                        devices_used: out.devices_used,
-                        stragglers_detected: stragglers,
-                        speculative_reexecs: reexecs,
-                    })
-                }
-                Err(e) => {
-                    if e.is_transient() && tier_attempt <= policy.max_retries {
-                        let backoff = policy.backoff_for(tier_attempt);
-                        retry_backoff_ms += backoff;
-                        if fusedml_trace::is_enabled() {
-                            fusedml_trace::instant(
-                                "recovery",
-                                "retry",
-                                "host",
-                                &[
-                                    ("tier", tier.name().into()),
-                                    ("attempt", tier_attempt.into()),
-                                    ("error", e.kind().into()),
-                                    ("backoff_ms", backoff.into()),
-                                ],
-                            );
-                        }
-                        events.push(RecoveryEvent {
-                            tier,
-                            attempt: tier_attempt,
-                            error_kind: e.kind().to_string(),
-                            detail: e.to_string(),
-                            action: RecoveryAction::Retry,
-                            backoff_ms: backoff,
-                        });
-                        if let Some(h) = ckpt.as_ref() {
-                            trace_resume(h, tier);
-                        }
-                        continue;
-                    }
-                    break e;
-                }
+    let landed = run_ladder(ShardTier::ShardRetry, policy, ckpt, &trace, |a| {
+        let ordinals = match a.tier {
+            ShardTier::Cpu => {
+                devices_used = 0;
+                let mut b = policy.cpu_tier(CpuBackend::new_sparse(x.clone()));
+                return solve_lr_cg(&mut b, labels, opts, ckpt);
             }
+            ShardTier::ShardRetry | ShardTier::Reshard => group.alive_ordinals(),
+            ShardTier::SingleDevice => match group.alive_ordinals().first() {
+                Some(&o) => vec![o],
+                None => {
+                    // No survivors at all: fail fast with a typed loss so
+                    // the ladder falls through to the CPU tier.
+                    return Err(fusedml_gpu_sim::DeviceError::DeviceLost {
+                        device: group.len().saturating_sub(1),
+                        fault_index: 0,
+                    }
+                    .into());
+                }
+            },
         };
-
-        match tier.degrade() {
-            Some(next) if policy.allow_degradation => {
-                if fusedml_trace::is_enabled() {
-                    if next == ShardTier::Reshard {
-                        // The headline instant of this ladder: the shard
-                        // layout is about to change.
-                        fusedml_trace::instant(
-                            "recovery",
-                            "reshard",
-                            "host",
-                            &[
-                                ("survivors", group.alive_count().into()),
-                                ("of", group.len().into()),
-                                ("error", error.kind().into()),
-                            ],
-                        );
-                    }
-                    fusedml_trace::instant(
-                        "recovery",
-                        "degrade",
-                        "host",
-                        &[
-                            ("from", tier.name().into()),
-                            ("to", next.name().into()),
-                            ("error", error.kind().into()),
-                        ],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Degrade,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                if let Some(h) = ckpt.as_ref() {
-                    trace_resume(h, next);
-                }
-                tier = next;
-            }
-            _ => {
-                if fusedml_trace::is_enabled() {
-                    fusedml_trace::instant(
-                        "recovery",
-                        "abort",
-                        "host",
-                        &[("tier", tier.name().into()), ("error", error.kind().into())],
-                    );
-                }
-                events.push(RecoveryEvent {
-                    tier,
-                    attempt: tier_attempt,
-                    error_kind: error.kind().to_string(),
-                    detail: error.to_string(),
-                    action: RecoveryAction::Abort,
-                    backoff_ms: 0.0,
-                });
-                tier_errors.push((tier, error));
-                return Err(LadderError {
-                    tier_errors,
-                    attempts,
-                    events,
-                });
-            }
-        }
-    }
+        let mut b = ShardedBackend::try_new_sparse_on(group, x, &ordinals)?
+            .with_straggler_policy(straggler_factor, true);
+        devices_used = b.shard_count();
+        let solved = solve_lr_cg(&mut b, labels, opts, ckpt);
+        stragglers += b.stragglers_detected();
+        reexecs += b.speculative_reexecs();
+        solved
+    })?;
+    Ok(ShardedOutcome {
+        ladder: landed.into_outcome(ckpt),
+        devices_used,
+        stragglers_detected: stragglers,
+        speculative_reexecs: reexecs,
+    })
 }
 
 #[cfg(test)]
@@ -471,6 +295,34 @@ mod tests {
             .events
             .iter()
             .all(|e| e.error_kind == "device-lost"));
+    }
+
+    #[test]
+    fn cpu_tier_runs_the_fused_kernels_when_asked() {
+        let x = uniform_sparse(200, 24, 0.2, 21);
+        let labels = random_vector(200, 22);
+        let g = group(2, FaultProfile::disabled());
+        g.mark_lost(0);
+        g.mark_lost(1);
+        let policy = RecoveryPolicy {
+            cpu_fused_threads: 2,
+            ..RecoveryPolicy::default()
+        };
+        let out = run_lr_cg_sharded_with_recovery(&g, &x, &labels, opts(), 3.0, &policy).unwrap();
+        assert_eq!(out.ladder.tier, ShardTier::Cpu);
+
+        let direct = |mut b: CpuBackend| {
+            use fusedml_ml::Backend;
+            let r = fusedml_ml::try_lr_cg(&mut b, &labels, opts()).unwrap();
+            (r.weights, b.stats().sim_ms)
+        };
+        let (_, fused_ms) = direct(CpuBackend::new_sparse(x.clone()).with_fused_execution(2));
+        let (reference, unfused_ms) = direct(CpuBackend::new_sparse(x.clone()));
+        let sim_ms = out.ladder.stats.sim_ms;
+        assert_eq!(sim_ms.to_bits(), fused_ms.to_bits());
+        assert_ne!(sim_ms.to_bits(), unfused_ms.to_bits());
+        let err = fusedml_matrix::reference::rel_l2_error(&out.ladder.result.weights, &reference);
+        assert!(err < 1e-6, "fused cpu tier off by {err}");
     }
 
     #[test]

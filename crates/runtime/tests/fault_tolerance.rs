@@ -1,12 +1,12 @@
 //! End-to-end fault-tolerance tests: deterministic injection, bounded
 //! retry, and the Fused -> Baseline -> Cpu degradation ladder.
 
-use fusedml_gpu_sim::{DeviceSpec, FaultProfile, Gpu};
+use fusedml_gpu_sim::{DeviceGroup, DeviceSpec, FaultProfile, Gpu, InterconnectSpec};
 use fusedml_matrix::gen::{random_vector, uniform_sparse};
 use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
 use fusedml_runtime::{
-    run_device_fault_tolerant, BackendTier, DataSet, EngineKind, RecoveryAction, RecoveryPolicy,
-    SessionConfig,
+    run_device_fault_tolerant, run_sharded_fault_tolerant, BackendTier, DataSet, EngineKind,
+    LadderError, RecoveryAction, RecoveryPolicy, SessionConfig, ShardTier,
 };
 
 fn problem(seed: u64) -> (DataSet, Vec<f64>) {
@@ -377,4 +377,81 @@ fn degradation_disabled_surfaces_the_error() {
     let err = run_device_fault_tolerant(&g, &data, &labels, &cfg, &policy)
         .expect_err("must abort without degradation");
     assert!(err.is_transient(), "kernel faults are transient: {err}");
+}
+
+#[test]
+fn lost_device_degrades_without_retrying() {
+    // A lost device stays lost for a single-device session, so device
+    // loss is not retried here (the serve ladder retries it on a
+    // replacement device): each device tier fails once and degrades.
+    let g = Gpu::with_host_threads(DeviceSpec::gtx_titan(), 1);
+    g.mark_lost();
+    let (data, labels) = problem(312);
+    let cfg = SessionConfig::native(EngineKind::Fused, 6);
+    let r = run_device_fault_tolerant(&g, &data, &labels, &cfg, &RecoveryPolicy::default())
+        .expect("the cpu tier never faults");
+    let trail: Vec<(BackendTier, &str, RecoveryAction)> = r
+        .events
+        .iter()
+        .map(|e| (e.tier, e.error_kind.as_str(), e.action))
+        .collect();
+    assert_eq!(
+        trail,
+        [
+            (BackendTier::Fused, "device-lost", RecoveryAction::Degrade),
+            (
+                BackendTier::Baseline,
+                "device-lost",
+                RecoveryAction::Degrade
+            ),
+        ]
+    );
+    assert_eq!(r.tier, BackendTier::Cpu);
+    assert_eq!(r.attempts, 3);
+}
+
+#[test]
+fn oversized_input_aborts_typed_instead_of_panicking() {
+    let (data, labels) = problem(313);
+    let DataSet::Sparse(x) = &data else {
+        panic!("sparse problem expected")
+    };
+    let small = DeviceSpec {
+        global_mem_bytes: (data.matrix_bytes() / 2) as usize,
+        ..DeviceSpec::gtx_titan()
+    };
+    let cfg = SessionConfig::native(EngineKind::Fused, 4);
+    let policy = RecoveryPolicy::default();
+
+    fn check<T: Copy + PartialEq + std::fmt::Debug>(err: &LadderError<T>, start: T) {
+        assert_eq!(err.attempts, 0);
+        assert_eq!(err.tier_errors.len(), 1);
+        assert_eq!(err.tier_errors[0].0, start);
+        assert_eq!(err.kind(), "numerical-breakdown");
+        assert!(
+            err.final_error()
+                .to_string()
+                .contains("matrix exceeds device"),
+            "{}",
+            err.final_error()
+        );
+        assert_eq!(err.events.len(), 1);
+        assert_eq!(err.events[0].tier, start);
+        assert_eq!(err.events[0].action, RecoveryAction::Abort);
+    }
+
+    let g = Gpu::with_host_threads(small.clone(), 1);
+    let err = run_device_fault_tolerant(&g, &data, &labels, &cfg, &policy)
+        .expect_err("the matrix does not fit the device");
+    check(&err, BackendTier::Fused);
+
+    let group = DeviceGroup::new(
+        small,
+        2,
+        InterconnectSpec::pcie_gen3_x16(),
+        &FaultProfile::disabled(),
+    );
+    let err = run_sharded_fault_tolerant(&group, x, &labels, &cfg, 3.0, &policy)
+        .expect_err("the matrix does not fit one device of the group");
+    check(&err, ShardTier::ShardRetry);
 }

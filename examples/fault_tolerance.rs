@@ -13,7 +13,7 @@ use fusedml_matrix::reference;
 use fusedml_ml::{lr_cg, CpuBackend, LrCgOptions};
 use fusedml_runtime::{
     run_device_fault_tolerant, DataSet, EngineKind, FaultTolerantReport, RecoveryPolicy,
-    SessionConfig,
+    RecoveryTier, SessionConfig,
 };
 
 fn show(label: &str, r: &FaultTolerantReport, reference_w: &[f64]) {
